@@ -65,7 +65,6 @@ from .paramset import (
     lor_inverse,
     mask_signs,
     masks_by_dimension,
-    sign_matrix,
 )
 from .structure import CanonicalTrace, Decomposition, canonicalize, decompose, recompose
 from .collapsibility import (

@@ -56,17 +56,6 @@ def _report(command: str, config: io.RunConfig, result: object) -> None:
     _emit(io.report_envelope(command, config, result))
 
 
-def _load_table(path: str):
-    return io.load_table(path)
-
-
-def _load_params(path: str):
-    payload = io._load_json(path)
-    if isinstance(payload, dict) and "result" in payload and "command" in payload:
-        payload = payload["result"]
-    return io.paramset_from_dict(payload)
-
-
 def _config(args: argparse.Namespace) -> io.RunConfig:
     kwargs = {}
     if getattr(args, "seed", None) is not None:
@@ -75,8 +64,6 @@ def _config(args: argparse.Namespace) -> io.RunConfig:
         kwargs["tol"] = args.tol
     if getattr(args, "max_iter", None) is not None:
         kwargs["max_iter"] = args.max_iter
-    if getattr(args, "threads", None) is not None:
-        kwargs["threads"] = args.threads
     if getattr(args, "format", None) is not None:
         kwargs["output_format"] = args.format
     return io.RunConfig(**kwargs)
@@ -84,7 +71,7 @@ def _config(args: argparse.Namespace) -> io.RunConfig:
 
 def cmd_params(args: argparse.Namespace) -> int:
     config = _config(args)
-    table = _load_table(args.table)
+    table = io.load_table(args.table)
     kind = resolve_kind(args.kind)
     if args.full:
         params = full_params(table, args.kind)
@@ -99,7 +86,7 @@ def cmd_params(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     config = _config(args)
-    params = _load_params(args.params)
+    params = io.load_paramset(args.params)
     if params.kind == "di":
         table = di_inverse(params)
     else:
@@ -112,7 +99,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def cmd_simpson(args: argparse.Namespace) -> int:
     config = _config(args)
-    table = _load_table(args.table)
+    table = io.load_table(args.table)
     kinds = [resolve_kind(name) for name in args.kind.split(",")]
     reports = simpson_scan(table, kinds)
     result = {
@@ -139,7 +126,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_canonical(args: argparse.Namespace) -> int:
     config = _config(args)
-    table = _load_table(args.table)
+    table = io.load_table(args.table)
     trace = canonicalize(table)
     if args.out:
         io.save_table(trace.final, args.out)
@@ -149,7 +136,7 @@ def cmd_canonical(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     config = _config(args)
-    table = _load_table(args.table)
+    table = io.load_table(args.table)
     _report("decompose", config, io.decomposition_to_dict(decompose(table)))
     return EXIT_OK
 
@@ -159,7 +146,7 @@ def cmd_power(args: argparse.Namespace) -> int:
     if (args.p is None) == (args.table is None):
         raise InvalidTableError("power needs exactly one of --p or --table")
     if args.table is not None:
-        table = _load_table(args.table)
+        table = io.load_table(args.table)
         p = even_parity_mass(table)
     else:
         p = args.p
@@ -201,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
         if fmt:
             p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default from BINTAB_THREADS)")
 
     p = sub.add_parser("params", help="evaluate an association parameter")
     p.add_argument("table")
@@ -210,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true",
                    help="emit the complete 2^k parameter set (lor/di only)")
     p.add_argument("--out", default=None, help="also write a parameter file")
-    common(p)
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("reconstruct", help="invert a parameter file back to a table")
@@ -223,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table")
     p.add_argument("--kind", default="lor,di",
                    help="comma-separated kinds (default: lor,di)")
-    common(p)
     p.set_defaults(func=cmd_simpson)
 
     p = sub.add_parser("search", help="random search for a sign-reversal witness")
@@ -237,12 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("canonical", help="reduce to the odds-ratio canonical table")
     p.add_argument("table")
     p.add_argument("--out", default=None, help="write the final table file")
-    common(p)
     p.set_defaults(func=cmd_canonical)
 
     p = sub.add_parser("decompose", help="additive zero-DI pair / peak decomposition")
     p.add_argument("table")
-    common(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("power", help="decision probability for the sign of DI")

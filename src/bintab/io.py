@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Optional, TextIO, Union
 
 import numpy as np
@@ -125,7 +125,11 @@ def paramset_from_dict(payload: object) -> ParamSet:
 
 
 def load_paramset(source: Union[Pathish, TextIO]) -> ParamSet:
-    return paramset_from_dict(_load_json(source))
+    """Read a parameter file, or the report envelope that wraps one."""
+    payload = _load_json(source)
+    if isinstance(payload, dict) and "command" in payload and "result" in payload:
+        payload = payload["result"]
+    return paramset_from_dict(payload)
 
 
 def save_paramset(params: ParamSet, dest: Union[Pathish, TextIO]) -> None:
@@ -196,7 +200,6 @@ class RunConfig:
     seed: int = 0
     tol: float = 1e-8
     max_iter: int = 10_000
-    threads: int = field(default_factory=lambda: int(os.environ.get("BINTAB_THREADS", "1")))
     output_format: str = "json"
 
     def __post_init__(self):

@@ -7,12 +7,17 @@ pairwise orthogonal with squared norm ``2^k``, so the system inverts as
 ``p = A v / 2^k``; both directions run in ``O(k 2^k)`` via the in-place
 butterfly (:func:`fwht`).
 
-For LOR the values at nonempty masks are log contrasts of *marginal sums*,
-a nonlinear system.  :func:`lor_inverse` solves it by cyclic exponential
-tilting: multiplying the entries by ``exp(delta * sign_m)`` shifts the
-mask-m parameter by exactly ``2^dim * delta`` while leaving every
-superset-mask parameter unchanged, so each inner step hits its target in
-closed form and the cycles iterate to convergence.
+For LOR the values at nonempty masks are log contrasts of *marginal sums*.
+All of them come from one pass over the ``(3,)*k`` marginal lattice: each
+axis is extended to ``(x1, x2, x1 + x2)`` so that every marginal table
+appears as a sub-array, the logs are taken once, and each axis then folds
+to ``(collapsed, x1 - x2)``, in ``O(k 3^k)`` overall (the Yates / fast zeta
+transform pattern).  The inverse is a nonlinear system;
+:func:`lor_inverse` solves it by cyclic exponential tilting: multiplying
+the entries by ``exp(delta * sign_m)`` shifts the mask-m parameter by
+exactly ``2^dim * delta`` while leaving every superset-mask parameter
+unchanged, so each inner step hits its target in closed form and the
+cycles iterate to convergence.
 
 Zero-dimensional conventions: the empty-mask DI value is the sum of all
 entries; the empty-mask LOR value is the log of the product of all entries
@@ -26,14 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assoc import ContrastKind, DI, LOR, di, lor
+from .assoc import ContrastKind
 from .errors import (
     ConvergenceError,
     EvaluationError,
     InvalidTableError,
     NonRealizableParamsError,
 )
-from .table import BinaryTable, MarginMask, index_to_cell, marginal, parity_signs
+from .table import BinaryTable, MarginMask, index_to_cell, parity_signs
 
 
 def _kind_name(kind) -> str:
@@ -94,12 +99,6 @@ def masks_by_dimension(k: int) -> list[int]:
     return sorted(range(2**k), key=lambda m: (m.bit_count(), m))
 
 
-def sign_matrix(k: int) -> np.ndarray:
-    """The full coefficient matrix ``A[m, t] = (-1)^{popcount(m & t)}``."""
-    idx = np.arange(2**k, dtype=np.uint64)
-    return np.where(np.bitwise_count(idx[:, None] & idx[None, :]) % 2 == 0, 1.0, -1.0)
-
-
 def mask_signs(m: int, k: int) -> np.ndarray:
     """One row of the coefficient matrix: ``(-1)^{popcount(m & t)}`` over cells t."""
     t = np.arange(2**k, dtype=np.uint64)
@@ -127,25 +126,38 @@ def fwht(values: np.ndarray) -> np.ndarray:
     return a
 
 
+def _lor_lattice(p: np.ndarray) -> np.ndarray:
+    """All 2^k LOR parameters of the positive entry vector ``p``.
+
+    Extends each axis to ``(x1, x2, x1 + x2)`` -- the ``(3,)*k`` lattice of
+    every marginal table -- takes logs, then folds each axis to
+    ``(collapsed, x1 - x2)``.  Index ``m`` of the result is the log contrast
+    of the marginal over the variables whose mask bit is 1; the empty mask
+    is the compensated sum of the logs.
+    """
+    k = p.size.bit_length() - 1
+    a = p
+    for i in range(k):
+        a = a.reshape(3**i, 2, -1)
+        a = np.concatenate((a, a[:, :1] + a[:, 1:]), axis=1)
+    a = np.log(a)
+    for i in range(k):
+        a = a.reshape(2**i, 3, -1)
+        a = np.concatenate((a[:, 2:], a[:, :1] - a[:, 1:2]), axis=1)
+    values = a.reshape(-1)
+    values[0] = math.fsum(np.log(p))
+    return values
+
+
 def full_params(table: BinaryTable, kind) -> ParamSet:
     """Evaluate the parameter of every marginal table, one value per mask.
 
-    Computed naively (marginalize, then contrast) in ``O(4^k)``; serves as
-    the reference for :func:`di_forward_fast`.
+    DI runs the butterfly (:func:`di_forward_fast`) in ``O(k 2^k)``; LOR
+    runs the marginal lattice in ``O(k 3^k)``.
     """
-    name = _kind_name(kind)
-    n = 2**table.k
-    values = np.empty(n)
-    for m in range(n):
-        if m == 0:
-            if name == "di":
-                values[0] = table.entries.sum()
-            else:
-                values[0] = math.fsum(math.log(x) for x in table.entries)
-            continue
-        marg = marginal(table, MarginMask.from_int(m, table.k))
-        values[m] = di(marg) if name == "di" else lor(marg)
-    return ParamSet(table.k, name, values)
+    if _kind_name(kind) == "di":
+        return di_forward_fast(table)
+    return ParamSet(table.k, "lor", _lor_lattice(table.entries))
 
 
 def di_forward_fast(table: BinaryTable) -> ParamSet:
@@ -189,7 +201,7 @@ def lor_inverse(params: ParamSet, tol: float = 1e-8, max_iter: int = 10_000) -> 
     tilting the entries by ``exp(delta * sign_m)``.  The mask's own
     parameter responds linearly with slope ``2^dim`` (``2^k`` for the empty
     mask), so each tilt lands exactly; a cycle ends with a full residual
-    check over all masks.
+    check over all masks, computed as :func:`full_params` computes them.
 
     Raises :class:`ConvergenceError` when ``max_iter`` cycles do not reach
     ``tol`` in max absolute deviation, and :class:`EvaluationError` on
@@ -219,16 +231,9 @@ def lor_inverse(params: ParamSet, tol: float = 1e-8, max_iter: int = 10_000) -> 
                 p = p * np.exp(delta * signs_full)
             if not (np.all(np.isfinite(p)) and np.all(p > 0)):
                 raise EvaluationError("non-finite intermediate while fitting LOR targets")
-        residual = max(
-            abs(_lor_of_marginal(p, k, m, axes, signs_small) - target[m])
-            for m, axes, signs_small, _, _ in prep
-        )
+        residual = float(np.max(np.abs(_lor_lattice(p) - target)))
         if residual < tol:
-            # confirm with the same arithmetic the contract is stated in
-            candidate = BinaryTable(k, p)
-            residual = float(np.max(np.abs(full_params(candidate, "lor").values - target)))
-            if residual < tol:
-                return candidate
+            return BinaryTable(k, p)
     raise ConvergenceError(
         f"LOR fit residual {residual:.3e} above tol={tol:.3e} "
         f"after {max_iter} cycles",

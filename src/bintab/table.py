@@ -33,18 +33,6 @@ Cell = tuple[int, ...]
 #: Hard cap on the table dimension; 2**k entries are materialized densely.
 MAX_DIM = 20
 
-#: Entries at or below this value are rejected at construction.
-POSITIVITY_FLOOR = 0.0
-
-
-def set_limits(max_dim: int | None = None, positivity_floor: float | None = None) -> None:
-    """Override the construction-time limits (dimension cap, positivity floor)."""
-    global MAX_DIM, POSITIVITY_FLOOR
-    if max_dim is not None:
-        MAX_DIM = int(max_dim)
-    if positivity_floor is not None:
-        POSITIVITY_FLOOR = float(positivity_floor)
-
 
 def validate_cell(cell: Sequence[int], k: int) -> Cell:
     """Check that ``cell`` is a length-k sequence of 1's and 2's; return it as a tuple."""
@@ -171,11 +159,11 @@ class BinaryTable:
             )
         if not np.all(np.isfinite(arr)):
             raise InvalidTableError("entries must be finite")
-        if not np.all(arr > POSITIVITY_FLOOR):
+        if not np.all(arr > 0):
             bad = int(np.argmin(arr))
             raise InvalidTableError(
                 f"entry {arr[bad]!r} at cell {index_to_cell(bad, self.k)} is not "
-                f"strictly positive (floor {POSITIVITY_FLOOR})"
+                "strictly positive"
             )
         arr = arr.copy()
         arr.flags.writeable = False

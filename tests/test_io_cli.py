@@ -96,6 +96,13 @@ class TestParamFiles:
         payload = json.loads(path.read_text())
         assert payload == {"k": 2, "kind": "di", "00": 14.0, "01": -2.0, "10": -4.0, "11": 0.0}
 
+    def test_load_unwraps_report_envelope(self, capsys, table_file, tmp_path):
+        assert main(["params", table_file, "--kind", "lor", "--full"]) == 0
+        path = tmp_path / "envelope.json"
+        path.write_text(capsys.readouterr().out)
+        want = full_params(BinaryTable.from_entries([2, 3, 4, 5]), "lor")
+        assert np.array_equal(load_paramset(path).values, want.values)
+
     def test_missing_mask_reported(self):
         with pytest.raises(InvalidTableError, match="'01'"):
             paramset_from_dict({"k": 2, "kind": "di", "00": 1.0, "10": 2.0, "11": 3.0})
@@ -129,6 +136,7 @@ class TestReportPieces:
         env = report_envelope("params", config, {"value": 1.0})
         assert env["tool"] == "bintab" and env["command"] == "params"
         assert env["config"]["seed"] == 5
+        assert set(env["config"]) == {"seed", "tol", "max_iter", "output_format"}
         assert env["result"] == {"value": 1.0}
 
 
@@ -141,12 +149,6 @@ class TestRunConfig:
     def test_explicit_values_kept(self):
         c = RunConfig(seed=42, tol=1e-6, max_iter=50)
         assert (c.seed, c.tol, c.max_iter) == (42, 1e-6, 50)
-
-    def test_threads_env_default(self, monkeypatch):
-        monkeypatch.setenv("BINTAB_THREADS", "7")
-        assert RunConfig(seed=1).threads == 7
-        monkeypatch.delenv("BINTAB_THREADS")
-        assert RunConfig(seed=1).threads == 1
 
     def test_format_validated(self):
         with pytest.raises(InvalidTableError):

@@ -21,8 +21,8 @@ from bintab import (
     mask_signs,
     masks_by_dimension,
     random_table,
-    sign_matrix,
 )
+from oracles import naive_full_params, sign_matrix
 
 
 class TestParamSetType:
@@ -110,7 +110,7 @@ class TestDiParams:
     def test_fast_matches_naive(self, k):
         t = random_table(k, np.random.default_rng(k))
         fast = di_forward_fast(t).values
-        naive = full_params(t, "di").values
+        naive = naive_full_params(t, "di")
         scale = np.maximum(np.abs(naive), t.total)
         assert np.max(np.abs(fast - naive) / scale) < 1e-12
 
@@ -144,6 +144,12 @@ class TestLorParams:
         ps = full_params(t, "lor")
         assert ps.values[0] == pytest.approx(math.log(2 * 3 * 4 * 5), rel=1e-12)
         assert ps.values[-1] == pytest.approx(math.log(10 / 12), rel=1e-12)
+
+    @pytest.mark.parametrize("k", range(0, 11))
+    def test_lattice_matches_naive(self, k):
+        t = random_table(k, np.random.default_rng(k))
+        fast = full_params(t, "lor").values
+        assert np.max(np.abs(fast - naive_full_params(t, "lor"))) < 1e-12
 
     def test_uniform_lor_params_vanish(self):
         ps = full_params(BinaryTable.constant(3, 1.0), "lor")
