@@ -24,7 +24,7 @@ from .collapsibility import CollapseReport, PropertyBatterySummary
 from .errors import InvalidTableError
 from .paramset import ParamSet
 from .structure import CanonicalTrace, Decomposition
-from .table import BinaryTable, MarginMask
+from .table import MAX_DIM, BinaryTable, MarginMask
 
 Pathish = Union[str, "os.PathLike[str]"]
 
@@ -71,7 +71,7 @@ def table_from_dict(payload: object) -> BinaryTable:
     if not isinstance(entries, list) or not all(isinstance(x, (int, float)) for x in entries):
         raise InvalidTableError("field 'entries' must be a list of numbers")
     k = payload.get("k")
-    if k is not None and not isinstance(k, int):
+    if k is not None and (isinstance(k, bool) or not isinstance(k, int)):
         raise InvalidTableError(f"field 'k' must be an integer, got {k!r}")
     labels = payload.get("labels")
     if labels is not None:
@@ -101,8 +101,8 @@ def paramset_from_dict(payload: object) -> ParamSet:
     if not isinstance(payload, dict):
         raise InvalidTableError("parameter file must be a JSON object")
     k, kind = payload.get("k"), payload.get("kind")
-    if not isinstance(k, int):
-        raise InvalidTableError(f"field 'k' must be an integer, got {k!r}")
+    if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= MAX_DIM:
+        raise InvalidTableError(f"field 'k' must be an integer in [0, {MAX_DIM}], got {k!r}")
     if kind not in ("di", "lor"):
         raise InvalidTableError(f"field 'kind' must be 'di' or 'lor', got {kind!r}")
     values = np.empty(2**k)

@@ -17,7 +17,8 @@ transform pattern).  The inverse is a nonlinear system;
 the entries by ``exp(delta * sign_m)`` shifts the mask-m parameter by
 exactly ``2^dim * delta`` while leaving every superset-mask parameter
 unchanged, so each inner step hits its target in closed form and the
-cycles iterate to convergence.
+cycles iterate to convergence; a step's marginal is one ``np.bincount``,
+and the entries are checked finite and positive once per cycle.
 
 Zero-dimensional conventions: the empty-mask DI value is the sum of all
 entries; the empty-mask LOR value is the log of the product of all entries
@@ -133,10 +134,12 @@ def _lor_lattice(p: np.ndarray) -> np.ndarray:
     every marginal table -- takes logs, then folds each axis to
     ``(collapsed, x1 - x2)``.  Index ``m`` of the result is the log contrast
     of the marginal over the variables whose mask bit is 1; the empty mask
-    is the compensated sum of the logs.
+    is the compensated sum of the logs.  Entries whose total could overflow
+    are first scaled, exactly, by a power of two.
     """
     k = p.size.bit_length() - 1
-    a = p
+    shift = max(0, math.frexp(float(p.max()))[1] + k - 1022)  # keeps the total below 2^1022
+    a = np.ldexp(p, -shift)
     for i in range(k):
         a = a.reshape(3**i, 2, -1)
         a = np.concatenate((a, a[:, :1] + a[:, 1:]), axis=1)
@@ -184,28 +187,22 @@ def di_inverse(params: ParamSet) -> BinaryTable:
     return BinaryTable(params.k, entries)
 
 
-def _lor_of_marginal(p: np.ndarray, k: int, m: int, axes: tuple[int, ...],
-                     signs_small: np.ndarray) -> float:
-    """Mask parameter of the current entry vector (empty mask: sum of logs)."""
-    if m == 0:
-        return float(np.log(p).sum())
-    marg = p.reshape((2,) * k).sum(axis=axes).reshape(-1) if axes else p
-    return float(signs_small @ np.log(marg))
-
-
 def lor_inverse(params: ParamSet, tol: float = 1e-8, max_iter: int = 10_000) -> BinaryTable:
     """Positive table whose LOR parameters match ``params`` within ``tol``.
 
     Starts from the constant table with the target log-product, then cycles
     the masks in nondecreasing dimension (ascending within a dimension),
-    tilting the entries by ``exp(delta * sign_m)``.  The mask's own
+    tilting the entries in place by ``exp(delta * sign_m)``.  The mask's own
     parameter responds linearly with slope ``2^dim`` (``2^k`` for the empty
-    mask), so each tilt lands exactly; a cycle ends with a full residual
-    check over all masks, computed as :func:`full_params` computes them.
+    mask), so each tilt lands exactly.  Its marginal is one ``np.bincount``
+    over blocks of cells, a block summed first where the mask's last
+    variables are unselected: the order of a reshape-sum, bit for bit.  A
+    cycle ends with one check that the entries are finite and positive (no
+    tilt can repair one that is not) and the residual from the lattice.
 
     Raises :class:`ConvergenceError` when ``max_iter`` cycles do not reach
-    ``tol`` in max absolute deviation, and :class:`EvaluationError` on
-    non-finite intermediates.
+    ``tol`` in max absolute deviation, and :class:`EvaluationError` when a
+    cycle ends with a non-finite or non-positive entry.
     """
     if params.kind != "lor":
         raise InvalidTableError(f"lor_inverse needs kind 'lor', got {params.kind!r}")
@@ -213,27 +210,29 @@ def lor_inverse(params: ParamSet, tol: float = 1e-8, max_iter: int = 10_000) -> 
         raise InvalidTableError(f"tol must be positive, got {tol}")
     k, n = params.k, 2 ** params.k
     target = params.values
-    order = masks_by_dimension(k)
-    prep = []
-    for m in order:
-        axes = tuple(a for a in range(k) if not (m >> (k - 1 - a)) & 1)
-        dim = m.bit_count()
-        prep.append((m, axes, parity_signs(dim), mask_signs(m, k),
-                     float(n if m == 0 else 2**dim)))
-
     p = np.full(n, math.exp(target[0] / n))
+    # rows: p's blocks of trailing unselected variables, as a view; idx: each
+    # block's marginal index, the rank of its m-bits among m's submasks
+    cells, steps = np.arange(n), []
+    for m in masks_by_dimension(k)[1:]:
+        block = m & -m
+        steps.append((m, p.reshape(-1, block) if block > 1 else None,
+                      np.unique(cells[::block] & m, return_inverse=True)[1],
+                      parity_signs(m.bit_count()), mask_signs(m, k), 2.0 ** m.bit_count()))
     residual = math.inf
-    for _ in range(max_iter):
-        for m, axes, signs_small, signs_full, slope in prep:
-            current = _lor_of_marginal(p, k, m, axes, signs_small)
-            delta = (target[m] - current) / slope
-            if delta != 0.0:
-                p = p * np.exp(delta * signs_full)
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            p *= np.exp((target[0] - float(np.log(p).sum())) / n)
+            for m, rows, idx, signs_small, signs_full, slope in steps:
+                weights = p if rows is None else np.add.reduce(rows, axis=1)
+                marg = np.bincount(idx, weights=weights, minlength=signs_small.size)
+                delta = (target[m] - float(signs_small @ np.log(marg))) / slope
+                p *= np.exp(delta * signs_full)
             if not (np.all(np.isfinite(p)) and np.all(p > 0)):
                 raise EvaluationError("non-finite intermediate while fitting LOR targets")
-        residual = float(np.max(np.abs(_lor_lattice(p) - target)))
-        if residual < tol:
-            return BinaryTable(k, p)
+            residual = float(np.max(np.abs(_lor_lattice(p) - target)))
+            if residual < tol:
+                return BinaryTable(k, p)
     raise ConvergenceError(
         f"LOR fit residual {residual:.3e} above tol={tol:.3e} "
         f"after {max_iter} cycles",

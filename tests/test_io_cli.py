@@ -76,6 +76,8 @@ class TestTableFiles:
             table_from_dict({"k": "two", "entries": [1, 2]})
         with pytest.raises(InvalidTableError):
             table_from_dict({"k": 3, "entries": [1, 2, 3, 4]})
+        with pytest.raises(InvalidTableError, match="'k'"):
+            table_from_dict({"k": True, "entries": [1, 2]})
         with pytest.raises(InvalidTableError, match="JSON object"):
             table_from_dict([1, 2, 3, 4])
 
@@ -234,6 +236,19 @@ class TestCliReconstruct:
         err = json.loads(out)["error"]
         assert err["type"] == "NonRealizableParamsError"
         assert err["entries"] == [3.0, -1.0]
+
+    @pytest.mark.parametrize("payload", [
+        '{"k": 60, "kind": "di"}',
+        '{"k": -1, "kind": "di"}',
+        '{"k": true, "kind": "di", "0": 1.0, "1": 0.5}',
+    ], ids=["k-too-large", "k-negative", "k-bool"])
+    def test_out_of_range_k_exits_input(self, capsys, tmp_path, payload):
+        path = tmp_path / "p.json"
+        path.write_text(payload)
+        code, out = run_cli(capsys, "reconstruct", str(path))
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "InvalidTableError" and "'k'" in err["message"]
 
     def test_convergence_failure_exits_numeric_with_residual(self, capsys, table_file, tmp_path):
         params_path = tmp_path / "p.json"

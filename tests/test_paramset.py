@@ -1,6 +1,7 @@
 """Full 2^k parameter system: transforms, inversions, fixtures."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from bintab import (
     BinaryTable,
     ConvergenceError,
+    EvaluationError,
     InvalidTableError,
     MarginMask,
     NonRealizableParamsError,
@@ -151,6 +153,20 @@ class TestLorParams:
         fast = full_params(t, "lor").values
         assert np.max(np.abs(fast - naive_full_params(t, "lor"))) < 1e-12
 
+    def test_lattice_survives_huge_uniform_entries(self):
+        # the total 4e308 overflows, yet every parameter is finite
+        ps = full_params(BinaryTable.from_entries([1e308] * 4), "lor")
+        assert ps.values[0] == pytest.approx(4 * math.log(1e308), rel=1e-12)
+        assert np.all(ps.values[1:] == 0.0)
+
+    def test_lattice_huge_entries_match_naive_on_rescaled(self):
+        t = random_table(4, np.random.default_rng(4))
+        big = t.entries * (1e308 / t.entries.max())
+        got = full_params(BinaryTable(4, big), "lor").values
+        want = naive_full_params(BinaryTable(4, big * 2.0**-600), "lor")
+        want[0] = math.fsum(np.log(big))
+        assert np.max(np.abs(got - want)) < 1e-12
+
     def test_uniform_lor_params_vanish(self):
         ps = full_params(BinaryTable.constant(3, 1.0), "lor")
         assert np.all(ps.values == 0.0)
@@ -210,3 +226,24 @@ class TestLorParams:
         assert full_params(t, "lor").values[0] == pytest.approx(
             float(np.log(t.entries).sum()), rel=1e-12
         )
+
+
+class TestLorFitCorpus:
+    """Fixed log-uniform targets: converge at e^±3, a typed error at e^±10."""
+
+    @staticmethod
+    def _fit(k, spread):
+        entries = np.exp(np.random.default_rng((2014, k, spread)).uniform(-spread, spread, 2**k))
+        target = full_params(BinaryTable(k, entries), "lor")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return target, lor_inverse(target)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_converges_at_spread_3(self, k):
+        target, fitted = self._fit(k, 3)
+        assert np.max(np.abs(full_params(fitted, "lor").values - target.values)) < 1e-8
+
+    def test_wide_spread_raises_evaluation_error(self):
+        with pytest.raises(EvaluationError):
+            self._fit(6, 10)
