@@ -19,11 +19,9 @@ from .table import (
     BinaryTable,
     Cell,
     MarginMask,
-    cell_sign,
     cell_to_index,
     collapse,
     conditional_equal,
-    even_mask,
     index_to_cell,
     marginal,
     parity,
@@ -63,7 +61,6 @@ from .paramset import (
     full_params,
     fwht,
     lor_inverse,
-    mask_signs,
     masks_by_dimension,
 )
 from .structure import CanonicalTrace, Decomposition, canonicalize, decompose, recompose
@@ -79,7 +76,6 @@ from .collapsibility import (
     simpson_scan,
 )
 from .sampling import (
-    DecisionStudy,
     even_parity_mass,
     prob_di_positive_exact,
     prob_di_positive_normal,

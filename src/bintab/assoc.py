@@ -16,6 +16,13 @@ All of these are zero on constant tables, strictly increasing in the
 are swapped.  Only the contrasts built from conditional-invariant ``h``
 (LOR) are unchanged under rescaling of conditional pairs.
 
+One kernel, ``_measure``, computes any kind on an entry vector: it applies
+``h`` (or ``d``, or forms the Bahadur products) once and returns the value
+together with its magnitude scale, the sum of the absolute summands.  A
+sign compares the two, so ``evaluate``, ``magnitude_scale``, ``sign``, the
+named parameters, the collapse checks and the Monte Carlo signs all come
+from that single pass (``recursive_contrast`` alone recurses on its own).
+
 Sums are accumulated with ``math.fsum`` because e.g. EX contrasts cancel
 catastrophically (parity sums of exponentials of similar magnitude).
 """
@@ -30,7 +37,7 @@ from typing import Union
 import numpy as np
 
 from .errors import EvaluationError, InvalidTableError
-from .table import BinaryTable, even_mask, slice_table
+from .table import BinaryTable, parity_signs, slice_table
 
 #: Relative threshold below which a parameter value reports sign 0.
 SIGN_TAU = 1e-9
@@ -96,15 +103,9 @@ def _h_values(entries: np.ndarray, h: Callable[[float], float]) -> list[float]:
     return vals
 
 
-def _contrast_arr(entries: np.ndarray, k: int, h: Callable[[float], float]) -> float:
-    vals = _h_values(entries, h)
-    even = even_mask(k)
-    return math.fsum(v if e else -v for v, e in zip(vals, even))
-
-
 def contrast(table: BinaryTable, h: Callable[[float], float]) -> float:
     """Parity contrast sum(h over even cells) - sum(h over odd cells)."""
-    return _contrast_arr(table.entries, table.k, h)
+    return _measure(table.entries, table.k, ContrastKind("contrast", h))[0]
 
 
 def lor(table: BinaryTable) -> float:
@@ -149,28 +150,12 @@ def recursive_contrast(table: BinaryTable, h: Callable[[float], float], i: int) 
     return upper - lower
 
 
-def _parity_totals(entries: np.ndarray, k: int) -> tuple[float, float]:
-    even = even_mask(k)
-    return float(entries[even].sum()), float(entries[~even].sum())
-
-
-def _aggregate_arr(entries: np.ndarray, k: int, d: Callable[[float], float]) -> float:
-    s_even, s_odd = _parity_totals(entries, k)
-    try:
-        a, b = float(d(s_even)), float(d(s_odd))
-    except (OverflowError, ValueError) as exc:
-        raise EvaluationError(f"d failed on a parity-class total: {exc}") from exc
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise EvaluationError("d produced a non-finite value on a parity-class total")
-    return a - b
-
-
 def aggregate_contrast(table: BinaryTable, d: Callable[[float], float]) -> float:
     """``d(sum over even cells) - d(sum over odd cells)``."""
-    return _aggregate_arr(table.entries, table.k, d)
+    return _measure(table.entries, table.k, AggregateContrastKind("aggregate", d))[0]
 
 
-def _bahadur_z(entries: np.ndarray, k: int, absolute: bool = False) -> np.ndarray:
+def _bahadur_z(entries: np.ndarray, k: int) -> np.ndarray:
     """Per-cell product of standardized indicator factors (normalized weights)."""
     arr = (entries / entries.sum()).reshape((2,) * k)
     z = np.ones_like(arr)
@@ -181,17 +166,8 @@ def _bahadur_z(entries: np.ndarray, k: int, absolute: bool = False) -> np.ndarra
         if not 0.0 < mu < 1.0:
             raise EvaluationError(f"degenerate marginal for variable {axis + 1}: mu={mu}")
         sigma = math.sqrt(mu * (1.0 - mu))
-        factor = np.array([1.0 - mu, -mu])
-        if absolute:
-            factor = np.abs(factor)
-        z = z * (factor.reshape(shape) / sigma)
+        z = z * (np.array([1.0 - mu, -mu]).reshape(shape) / sigma)
     return arr * z
-
-
-def _bahadur_arr(entries: np.ndarray, k: int) -> float:
-    if k < 2:
-        raise InvalidTableError(f"bahadur requires k >= 2, got k={k}")
-    return float(math.fsum(_bahadur_z(entries, k).reshape(-1)))
 
 
 def bahadur(table: BinaryTable) -> float:
@@ -200,29 +176,41 @@ def bahadur(table: BinaryTable) -> float:
     The table is normalized to sum 1; with ``X_i = 1`` when ``j_i = 1`` and
     0 otherwise, returns ``E[prod_i (X_i - mu_i) / sigma_i]``.
     """
-    return _bahadur_arr(table.entries, table.k)
+    return _measure(table.entries, table.k, BAHADUR)[0]
+
+
+def _measure(entries: np.ndarray, k: int, kind: AssociationKind) -> tuple[float, float]:
+    """Value of ``kind`` on an entry vector and its magnitude scale, from one pass.
+
+    The scale is the sum of the absolute summands entering the value.  No
+    other function branches on the kind to compute a value.
+    """
+    if isinstance(kind, ContrastKind):
+        vals = _h_values(entries, kind.h)
+        signs = parity_signs(k)
+        value = math.fsum(v if s > 0 else -v for v, s in zip(vals, signs))
+        return value, math.fsum(abs(v) for v in vals)
+    if isinstance(kind, AggregateContrastKind):
+        even = parity_signs(k) > 0
+        try:
+            a = float(kind.d(float(entries[even].sum())))
+            b = float(kind.d(float(entries[~even].sum())))
+        except (OverflowError, ValueError) as exc:
+            raise EvaluationError(f"d failed on a parity-class total: {exc}") from exc
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise EvaluationError("d produced a non-finite value on a parity-class total")
+        return a - b, abs(a) + abs(b)
+    if isinstance(kind, BahadurKind):
+        if k < 2:
+            raise InvalidTableError(f"bahadur requires k >= 2, got k={k}")
+        z = _bahadur_z(entries, k)
+        return float(math.fsum(z.reshape(-1))), float(np.abs(z).sum())
+    raise TypeError(f"not an association kind: {kind!r}")
 
 
 def evaluate(table: BinaryTable, kind: AssociationKind) -> float:
     """Evaluate any association kind on a table."""
-    if isinstance(kind, ContrastKind):
-        return contrast(table, kind.h)
-    if isinstance(kind, AggregateContrastKind):
-        return aggregate_contrast(table, kind.d)
-    if isinstance(kind, BahadurKind):
-        return bahadur(table)
-    raise TypeError(f"not an association kind: {kind!r}")
-
-
-def _magnitude_scale_arr(entries: np.ndarray, k: int, kind: AssociationKind) -> float:
-    if isinstance(kind, ContrastKind):
-        return math.fsum(abs(v) for v in _h_values(entries, kind.h))
-    if isinstance(kind, AggregateContrastKind):
-        s_even, s_odd = _parity_totals(entries, k)
-        return abs(float(kind.d(s_even))) + abs(float(kind.d(s_odd)))
-    if isinstance(kind, BahadurKind):
-        return float(_bahadur_z(entries, k, absolute=True).sum())
-    raise TypeError(f"not an association kind: {kind!r}")
+    return _measure(table.entries, table.k, kind)[0]
 
 
 def magnitude_scale(table: BinaryTable, kind: AssociationKind) -> float:
@@ -231,7 +219,7 @@ def magnitude_scale(table: BinaryTable, kind: AssociationKind) -> float:
     The sum of the absolute summands entering the parameter; a value within
     ``SIGN_TAU`` of zero relative to this scale reports sign 0.
     """
-    return _magnitude_scale_arr(table.entries, table.k, kind)
+    return _measure(table.entries, table.k, kind)[1]
 
 
 def thresholded_sign(value: float, scale: float, tau: float = SIGN_TAU) -> int:
@@ -243,4 +231,4 @@ def thresholded_sign(value: float, scale: float, tau: float = SIGN_TAU) -> int:
 
 def sign(table: BinaryTable, kind: AssociationKind, tau: float = SIGN_TAU) -> int:
     """Thresholded sign of ``kind`` on ``table``."""
-    return thresholded_sign(evaluate(table, kind), magnitude_scale(table, kind), tau)
+    return thresholded_sign(*_measure(table.entries, table.k, kind), tau)

@@ -22,14 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .assoc import (
-    AssociationKind,
-    SIGN_TAU,
-    di,
-    evaluate,
-    magnitude_scale,
-    sign,
-)
+from .assoc import AssociationKind, SIGN_TAU, _measure, di, evaluate, sign, thresholded_sign
 from .errors import EvaluationError, InvalidTableError
 from .table import BinaryTable, collapse, rescale_conditional_pair, slice_table, swap_category
 
@@ -57,11 +50,10 @@ def collapse_check(table: BinaryTable, kind: AssociationKind, i: int) -> Collaps
     ``paradox`` is set when the layer signs agree, are nonzero, and the
     collapsed sign differs from them.
     """
-    layer1 = slice_table(table, i, 1)
-    layer2 = slice_table(table, i, 2)
-    collapsed = collapse(table, i)
-    values = (evaluate(layer1, kind), evaluate(layer2, kind), evaluate(collapsed, kind))
-    signs = (sign(layer1, kind), sign(layer2, kind), sign(collapsed, kind))
+    parts = (slice_table(table, i, 1), slice_table(table, i, 2), collapse(table, i))
+    measured = [_measure(part.entries, part.k, kind) for part in parts]
+    values = tuple(value for value, _ in measured)
+    signs = tuple(thresholded_sign(value, scale) for value, scale in measured)
     paradox = signs[0] == signs[1] != 0 and signs[2] != signs[0]
     return CollapseReport(
         variable=i,
@@ -141,12 +133,12 @@ class PropertyBatterySummary:
     PROPERTIES = ("monotone", "swap_antisymmetry", "conditional_invariance")
 
 
-def _values_match(before: float, after: float, table: BinaryTable,
-                  kind: AssociationKind) -> bool:
-    # invariance up to FP noise; both-below-sign-floor counts as equal
+def _values_match(before: float, after: float, scale: float) -> bool:
+    # invariance up to FP noise; both below the sign floor of ``before``'s
+    # table (magnitude ``scale``) counts as equal
     if abs(after - before) <= 1e-9 * max(abs(before), abs(after)):
         return True
-    floor = SIGN_TAU * magnitude_scale(table, kind)
+    floor = SIGN_TAU * scale
     return abs(before) <= floor and abs(after) <= floor
 
 
@@ -186,10 +178,11 @@ def property_battery(
         bumped_entries = table.entries.copy()
         bumped_entries[0] *= factor
         bumped = BinaryTable(k, bumped_entries)
-        if sign(constant, kind) != 0 or not evaluate(bumped, kind) > evaluate(table, kind):
+        value, scale = _measure(table.entries, k, kind)
+        if sign(constant, kind) != 0 or not evaluate(bumped, kind) > value:
             record("monotone", {"table": table, "constant": const_value, "factor": factor})
 
-        base_sign = sign(table, kind)
+        base_sign = thresholded_sign(value, scale)
         for i in range(1, k + 1):
             if sign(swap_category(table, i), kind) != -base_sign:
                 record("swap_antisymmetry", {"table": table, "variable": i})
@@ -204,9 +197,7 @@ def property_battery(
             rescaled = rescale_conditional_pair(rescaled, i, suffix, c)
             ops.append({"variable": i, "suffix": suffix, "factor": c})
         try:
-            invariant = _values_match(
-                evaluate(table, kind), evaluate(rescaled, kind), table, kind
-            )
+            invariant = _values_match(value, evaluate(rescaled, kind), scale)
         except EvaluationError:
             # rescaling drove the table outside the kind's evaluable range
             invariant = False

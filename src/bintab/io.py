@@ -55,6 +55,11 @@ def _dump_json(payload: object, dest: Optional[Union[Pathish, TextIO]]) -> Optio
     return None
 
 
+def _is_number(x: object) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not numbers here
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def table_to_dict(table: BinaryTable, labels: Optional[list[str]] = None) -> dict:
     payload: dict = {"k": table.k, "entries": [float(x) for x in table.entries]}
     if labels is not None:
@@ -68,7 +73,7 @@ def table_from_dict(payload: object) -> BinaryTable:
     if "entries" not in payload:
         raise InvalidTableError("table file is missing the 'entries' field")
     entries = payload["entries"]
-    if not isinstance(entries, list) or not all(isinstance(x, (int, float)) for x in entries):
+    if not isinstance(entries, list) or not all(_is_number(x) for x in entries):
         raise InvalidTableError("field 'entries' must be a list of numbers")
     k = payload.get("k")
     if k is not None and (isinstance(k, bool) or not isinstance(k, int)):
@@ -113,7 +118,7 @@ def paramset_from_dict(payload: object) -> ParamSet:
         mask = MarginMask.from_string(key)
         if mask.k != k:
             raise InvalidTableError(f"mask {key!r} has length {mask.k}, expected {k}")
-        if not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise InvalidTableError(f"value for mask {key!r} must be a number, got {value!r}")
         values[mask.to_int()] = float(value)
         seen.add(mask.to_int())

@@ -100,12 +100,6 @@ def masks_by_dimension(k: int) -> list[int]:
     return sorted(range(2**k), key=lambda m: (m.bit_count(), m))
 
 
-def mask_signs(m: int, k: int) -> np.ndarray:
-    """One row of the coefficient matrix: ``(-1)^{popcount(m & t)}`` over cells t."""
-    t = np.arange(2**k, dtype=np.uint64)
-    return np.where(np.bitwise_count(np.uint64(m) & t) % 2 == 0, 1.0, -1.0)
-
-
 def fwht(values: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis (length a power of two).
 
@@ -134,16 +128,23 @@ def _lor_lattice(p: np.ndarray) -> np.ndarray:
     every marginal table -- takes logs, then folds each axis to
     ``(collapsed, x1 - x2)``.  Index ``m`` of the result is the log contrast
     of the marginal over the variables whose mask bit is 1; the empty mask
-    is the compensated sum of the logs.  Entries whose total could overflow
-    are first scaled, exactly, by a power of two.
+    is the compensated sum of the logs.  When the total could overflow, the
+    logs come first and each axis extends by ``np.logaddexp`` instead; they
+    are logs of ``p / 2^E`` (``E`` the largest binary exponent), from the
+    mantissas and exponents, so no subnormal entry is flushed to zero and
+    the large logs lose no digits to their magnitude.
     """
     k = p.size.bit_length() - 1
-    shift = max(0, math.frexp(float(p.max()))[1] + k - 1022)  # keeps the total below 2^1022
-    a = np.ldexp(p, -shift)
+    in_logs = math.frexp(float(p.max()))[1] + k > 1022  # the total may reach 2^1022
+    a, add = p, np.add
+    if in_logs:
+        mant, expo = np.frexp(p)
+        a, add = np.log(mant) + (expo - expo.max()) * math.log(2.0), np.logaddexp
     for i in range(k):
         a = a.reshape(3**i, 2, -1)
-        a = np.concatenate((a, a[:, :1] + a[:, 1:]), axis=1)
-    a = np.log(a)
+        a = np.concatenate((a, add(a[:, :1], a[:, 1:])), axis=1)
+    if not in_logs:
+        a = np.log(a)
     for i in range(k):
         a = a.reshape(2**i, 3, -1)
         a = np.concatenate((a[:, 2:], a[:, :1] - a[:, 1:2]), axis=1)
@@ -218,7 +219,7 @@ def lor_inverse(params: ParamSet, tol: float = 1e-8, max_iter: int = 10_000) -> 
         block = m & -m
         steps.append((m, p.reshape(-1, block) if block > 1 else None,
                       np.unique(cells[::block] & m, return_inverse=True)[1],
-                      parity_signs(m.bit_count()), mask_signs(m, k), 2.0 ** m.bit_count()))
+                      parity_signs(m.bit_count()), parity_signs(k, m), 2.0 ** m.bit_count()))
     residual = math.inf
     with np.errstate(all="ignore"):
         for _ in range(max_iter):

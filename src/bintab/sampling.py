@@ -20,24 +20,12 @@ empirical proportions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .assoc import (
-    AssociationKind,
-    BahadurKind,
-    ContrastKind,
-    SIGN_TAU,
-    _aggregate_arr,
-    _bahadur_arr,
-    _contrast_arr,
-    _magnitude_scale_arr,
-    thresholded_sign,
-)
+from .assoc import AssociationKind, ContrastKind, _measure, thresholded_sign
 from .errors import EvaluationError, InvalidTableError
-from .table import BinaryTable, even_mask, parity_signs
+from .table import BinaryTable, parity_signs
 
 #: Replications drawn per derived stream; fixed so results never depend on
 #: how the chunks are scheduled.
@@ -46,28 +34,9 @@ CHUNK = 4096
 SIGN_LABELS = {1: "positive", 0: "zero", -1: "negative"}
 
 
-@dataclass(frozen=True)
-class DecisionStudy:
-    """Settings for one sampling-decision experiment."""
-
-    N: int
-    p_even: float
-    true_table: Optional[BinaryTable] = None
-    replications: int = 10_000
-    seed: int = 1
-
-    def __post_init__(self):
-        if not (isinstance(self.N, int) and self.N >= 1):
-            raise InvalidTableError(f"N must be a positive integer, got {self.N!r}")
-        if not 0.0 < self.p_even < 1.0:
-            raise InvalidTableError(f"p_even must lie in (0, 1), got {self.p_even!r}")
-        if not (isinstance(self.replications, int) and self.replications >= 1):
-            raise InvalidTableError(f"replications must be >= 1, got {self.replications!r}")
-
-
 def even_parity_mass(table: BinaryTable) -> float:
     """Fraction of the table total carried by the even-parity cells."""
-    even = even_mask(table.k)
+    even = parity_signs(table.k) > 0
     return float(math.fsum(table.entries[even]) / math.fsum(table.entries))
 
 
@@ -76,7 +45,7 @@ def table_with_even_mass(k: int, p_even: float) -> BinaryTable:
     if not 0.0 < p_even < 1.0:
         raise InvalidTableError(f"p_even must lie in (0, 1), got {p_even!r}")
     half = 2 ** (k - 1)
-    entries = np.where(even_mask(k), p_even / half, (1.0 - p_even) / half)
+    entries = np.where(parity_signs(k) > 0, p_even / half, (1.0 - p_even) / half)
     return BinaryTable(k, entries)
 
 
@@ -134,8 +103,8 @@ def _multinomial_rows(rng: np.random.Generator, probs: np.ndarray, N: int,
 
 def _sample_sign(counts: np.ndarray, k: int, kind: AssociationKind) -> int:
     """Sign of ``kind`` on one sampled count vector (zeros permitted)."""
-    even = even_mask(k)
     if isinstance(kind, ContrastKind) and kind.name == "lor":
+        even = parity_signs(k) > 0
         zero_even = bool((counts[even] == 0).any())
         zero_odd = bool((counts[~even] == 0).any())
         if zero_even and zero_odd:
@@ -144,14 +113,7 @@ def _sample_sign(counts: np.ndarray, k: int, kind: AssociationKind) -> int:
             return 1
         if zero_even:
             return -1
-    props = counts / counts.sum()
-    if isinstance(kind, ContrastKind):
-        value = _contrast_arr(props, k, kind.h)
-    elif isinstance(kind, BahadurKind):
-        value = _bahadur_arr(props, k)
-    else:
-        value = _aggregate_arr(props, k, kind.d)
-    return thresholded_sign(value, _magnitude_scale_arr(props, k, kind), SIGN_TAU)
+    return thresholded_sign(*_measure(counts / counts.sum(), k, kind))
 
 
 def simulate_decisions(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidTableError
-from .table import BinaryTable, Cell, even_mask, index_to_cell
+from .table import BinaryTable, Cell, index_to_cell, parity_signs
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def decompose(table: BinaryTable) -> Decomposition:
     residue = table.entries.copy()
     s = float(residue.min())
     residue -= s
-    even = even_mask(k)
+    even = parity_signs(k) > 0
 
     pairs: list[tuple[int, int, float]] = []
     while residue[even].any() and residue[~even].any():

@@ -65,20 +65,18 @@ def parity(cell: Sequence[int]) -> Literal["even", "odd"]:
     return "even" if twos % 2 == 0 else "odd"
 
 
-def cell_sign(cell: Sequence[int]) -> int:
-    """+1 for even cells, -1 for odd cells."""
-    return 1 if parity(cell) == "even" else -1
+def parity_signs(k: int, mask: int | None = None) -> np.ndarray:
+    """Vector of +/-1 over linear indices t: ``(-1)^popcount(t & mask)``.
 
-
-def parity_signs(k: int) -> np.ndarray:
-    """Vector of +/-1 over linear indices: +1 where popcount is even."""
+    Without a mask every variable counts, so the vector is +1 on even cells
+    and -1 on odd ones (``parity_signs(k) > 0`` marks the even cells).  With
+    a mask integer ``m`` only the variables of ``m`` count: row ``m`` of the
+    Sylvester-ordered Hadamard matrix, the signs of the mask-m contrast.
+    """
     idx = np.arange(2**k, dtype=np.uint64)
+    if mask is not None:
+        idx &= np.uint64(mask)
     return np.where(np.bitwise_count(idx) % 2 == 0, 1.0, -1.0)
-
-
-def even_mask(k: int) -> np.ndarray:
-    """Boolean vector over linear indices marking even-parity cells."""
-    return parity_signs(k) > 0
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from bintab import (
     AggregateContrastKind,
     BAHADUR,
     BinaryTable,
+    ContrastKind,
     DI,
     EX,
     EvaluationError,
@@ -22,6 +23,7 @@ from bintab import (
     LOR,
     aggregate_contrast,
     bahadur,
+    collapse_check,
     contrast,
     di,
     evaluate,
@@ -29,6 +31,7 @@ from bintab import (
     lor,
     magnitude_scale,
     odds_ratio,
+    random_table,
     recursive_contrast,
     resolve_kind,
     sign,
@@ -177,3 +180,35 @@ class TestSigns:
         assert resolve_kind("bahadur") is BAHADUR
         with pytest.raises(InvalidTableError):
             resolve_kind("nope")
+
+
+def counted_log():
+    """LOR's ``h`` as a kind that records every call."""
+    calls = []
+
+    def h(x):
+        calls.append(x)
+        return math.log(x)
+
+    return ContrastKind("counted", h), calls
+
+
+class TestOnePassPerTable:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_sign_applies_h_once_per_cell(self, k):
+        kind, calls = counted_log()
+        t = random_table(k, np.random.default_rng(k))
+        assert sign(t, kind) == sign(t, LOR)
+        assert len(calls) == 2**k
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_collapse_check_measures_each_table_once(self, k):
+        kind, calls = counted_log()
+        t = random_table(k, np.random.default_rng(k))
+        for i in range(1, k + 1):
+            calls.clear()
+            report = collapse_check(t, kind, i)
+            assert len(calls) == 3 * 2 ** (k - 1)
+            want = collapse_check(t, LOR, i)
+            assert (report.values, report.layer_signs, report.collapsed_sign) == (
+                want.values, want.layer_signs, want.collapsed_sign)

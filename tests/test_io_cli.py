@@ -78,6 +78,8 @@ class TestTableFiles:
             table_from_dict({"k": 3, "entries": [1, 2, 3, 4]})
         with pytest.raises(InvalidTableError, match="'k'"):
             table_from_dict({"k": True, "entries": [1, 2]})
+        with pytest.raises(InvalidTableError, match="list of numbers"):
+            table_from_dict({"entries": [True, True]})
         with pytest.raises(InvalidTableError, match="JSON object"):
             table_from_dict([1, 2, 3, 4])
 
@@ -116,6 +118,8 @@ class TestParamFiles:
             paramset_from_dict({"k": 1, "kind": "di", "00": 1.0, "0": 0.0, "1": 0.0})
         with pytest.raises(InvalidTableError):
             paramset_from_dict({"k": 1, "kind": "di", "0": 1.0, "1": "x"})
+        with pytest.raises(InvalidTableError, match="must be a number"):
+            paramset_from_dict({"k": 1, "kind": "di", "0": True, "1": False})
 
 
 class TestReportPieces:

@@ -20,8 +20,8 @@ from bintab import (
     full_params,
     fwht,
     lor_inverse,
-    mask_signs,
     masks_by_dimension,
+    parity_signs,
     random_table,
 )
 from oracles import naive_full_params, sign_matrix
@@ -56,7 +56,7 @@ class TestSignSystem:
     def test_mask_signs_match_matrix_rows(self):
         a = sign_matrix(3)
         for m in range(8):
-            assert np.array_equal(mask_signs(m, 3), a[m])
+            assert np.array_equal(parity_signs(3, m), a[m])
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=100)
@@ -158,6 +158,14 @@ class TestLorParams:
         ps = full_params(BinaryTable.from_entries([1e308] * 4), "lor")
         assert ps.values[0] == pytest.approx(4 * math.log(1e308), rel=1e-12)
         assert np.all(ps.values[1:] == 0.0)
+
+    def test_lattice_survives_subnormal_beside_huge_entries(self):
+        # the overflow guard must not flush 5e-324 to zero on the way
+        entries = [1e308, 1e308, 1e308, 5e-324]
+        got = full_params(BinaryTable.from_entries(entries), "lor").values
+        want = [math.fsum(np.log(entries)), math.log(2.0), math.log(2.0),
+                math.log(5e-324) - math.log(1e308)]
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_lattice_huge_entries_match_naive_on_rescaled(self):
         t = random_table(4, np.random.default_rng(4))

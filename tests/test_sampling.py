@@ -12,7 +12,6 @@ from bintab import (
     EX,
     LOR,
     BinaryTable,
-    DecisionStudy,
     EvaluationError,
     InvalidTableError,
     even_parity_mass,
@@ -194,22 +193,3 @@ class TestSimulate:
             simulate_decisions(t, 0, DI, 10, seed=1)
         with pytest.raises(InvalidTableError):
             simulate_decisions(t, 10, DI, 0, seed=1)
-
-
-class TestDecisionStudy:
-    def test_defaults(self):
-        s = DecisionStudy(N=1000, p_even=0.525)
-        assert s.replications == 10_000 and s.seed == 1 and s.true_table is None
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"N": 0, "p_even": 0.5},
-            {"N": 10, "p_even": 0.0},
-            {"N": 10, "p_even": 1.0},
-            {"N": 10, "p_even": 0.5, "replications": 0},
-        ],
-    )
-    def test_rejects_bad_fields(self, kwargs):
-        with pytest.raises(InvalidTableError):
-            DecisionStudy(**kwargs)

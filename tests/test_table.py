@@ -8,11 +8,9 @@ from bintab import (
     BinaryTable,
     InvalidTableError,
     MarginMask,
-    cell_sign,
     cell_to_index,
     collapse,
     conditional_equal,
-    even_mask,
     index_to_cell,
     marginal,
     parity,
@@ -56,13 +54,15 @@ class TestIndexing:
         assert parity((1, 1, 1)) == "even"
         assert parity((1, 2, 1)) == "odd"
         assert parity((2, 2, 1)) == "even"
-        assert cell_sign((2, 2, 2)) == -1
+        assert parity_signs(3)[cell_to_index((2, 2, 2))] == -1
 
     @given(st.integers(1, 10))
     def test_parity_classes_split_evenly(self, k):
-        even = even_mask(k)
+        even = parity_signs(k) > 0
         assert even.sum() == 2 ** (k - 1)
-        assert np.all(parity_signs(k) == np.where(even, 1.0, -1.0))
+        want = [1.0 if parity(index_to_cell(t, k)) == "even" else -1.0 for t in range(2**k)]
+        assert np.array_equal(parity_signs(k), want)
+        assert np.array_equal(parity_signs(k, 2**k - 1), want)
 
     @given(st.integers(1, 8), st.data())
     def test_parity_equals_popcount(self, k, data):
