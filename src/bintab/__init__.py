@@ -18,7 +18,6 @@ from .errors import (
 from .table import (
     BinaryTable,
     Cell,
-    MarginMask,
     cell_to_index,
     collapse,
     conditional_equal,
@@ -69,7 +68,6 @@ from .collapsibility import (
     PropertyBatterySummary,
     additivity_sign_check,
     collapse_check,
-    di_collapse_additivity,
     paradox_search,
     property_battery,
     random_table,
@@ -83,7 +81,6 @@ from .sampling import (
     table_with_even_mass,
 )
 from .io import (
-    RunConfig,
     battery_to_dict,
     collapse_report_to_dict,
     decomposition_to_dict,

@@ -83,13 +83,15 @@ BAHADUR = BahadurKind()
 _NAMED_KINDS = {"lor": LOR, "di": DI, "ex": EX, "bahadur": BAHADUR}
 
 
-def resolve_kind(name: str) -> AssociationKind:
-    """Map a kind name (``lor``, ``di``, ``ex``, ``bahadur``) to its kind object."""
+def resolve_kind(kind: AssociationKind | str) -> AssociationKind:
+    """A kind object as given, or the kind named ``lor``, ``di``, ``ex`` or ``bahadur``."""
+    if isinstance(kind, (ContrastKind, AggregateContrastKind, BahadurKind)):
+        return kind
     try:
-        return _NAMED_KINDS[name.lower()]
-    except KeyError:
+        return _NAMED_KINDS[kind.lower()]
+    except (AttributeError, KeyError):
         raise InvalidTableError(
-            f"unknown association kind {name!r}; expected one of {sorted(_NAMED_KINDS)}"
+            f"unknown association kind {kind!r}; expected one of {sorted(_NAMED_KINDS)}"
         ) from None
 
 

@@ -6,9 +6,10 @@ analysis, ``canonical`` / ``decompose`` for the constructive procedures,
 and ``power`` for sampling-decision probabilities.
 
 Every successful run prints a JSON report wrapping the result with the
-tool version and the fully resolved configuration (including the actual
-seed when one was drawn from entropy).  ``--out`` additionally writes the
-bare artifact (table or parameter file) so it can be fed back in.
+tool version and, under ``config``, only the settings the subcommand read
+(including the actual seed when ``--seed`` was 0 or omitted and one was
+drawn from entropy).  ``--out`` additionally writes the bare artifact
+(table or parameter file) so it can be fed back in.
 
 Exit codes: 0 success, 2 invalid input, 3 numeric/convergence failure,
 4 search exhausted without a witness.
@@ -20,6 +21,8 @@ import argparse
 import json
 import sys
 from typing import Optional, Sequence
+
+import numpy as np
 
 from ._version import __version__
 from . import io
@@ -52,45 +55,39 @@ def _emit(payload: dict, stream=None) -> None:
     print(json.dumps(payload, indent=2), file=stream or sys.stdout)
 
 
-def _report(command: str, config: io.RunConfig, result: object) -> None:
+def _report(command: str, config: dict, result: object) -> None:
     _emit(io.report_envelope(command, config, result))
 
 
-def _config(args: argparse.Namespace) -> io.RunConfig:
-    kwargs = {}
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    if getattr(args, "tol", None) is not None:
-        kwargs["tol"] = args.tol
-    if getattr(args, "max_iter", None) is not None:
-        kwargs["max_iter"] = args.max_iter
-    if getattr(args, "format", None) is not None:
-        kwargs["output_format"] = args.format
-    return io.RunConfig(**kwargs)
+def _seed(args: argparse.Namespace) -> int:
+    """The ``--seed`` value, or a fresh one from OS entropy when it is 0 or omitted."""
+    if args.seed < 0:
+        raise InvalidTableError(f"seed must be non-negative, got {args.seed}")
+    return args.seed or int(np.random.SeedSequence().entropy % (2**63))
 
 
 def cmd_params(args: argparse.Namespace) -> int:
-    config = _config(args)
     table = io.load_table(args.table)
     kind = resolve_kind(args.kind)
     if args.full:
-        params = full_params(table, args.kind)
+        params = full_params(table, kind)
         result = io.paramset_to_dict(params)
         if args.out:
             io.save_paramset(params, args.out)
     else:
         result = {"kind": args.kind, "value": evaluate(table, kind)}
-    _report("params", config, result)
+    _report("params", {}, result)
     return EXIT_OK
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    config = _config(args)
     params = io.load_paramset(args.params)
+    config = {}
     if params.kind == "di":
         table = di_inverse(params)
     else:
-        table = lor_inverse(params, tol=config.tol, max_iter=config.max_iter)
+        config = {"tol": args.tol, "max_iter": args.max_iter}
+        table = lor_inverse(params, **config)
     if args.out:
         io.save_table(table, args.out)
     _report("reconstruct", config, io.table_to_dict(table))
@@ -98,7 +95,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_simpson(args: argparse.Namespace) -> int:
-    config = _config(args)
     table = io.load_table(args.table)
     kinds = [resolve_kind(name) for name in args.kind.split(",")]
     reports = simpson_scan(table, kinds)
@@ -106,14 +102,14 @@ def cmd_simpson(args: argparse.Namespace) -> int:
         "reports": [io.collapse_report_to_dict(r) for r in reports],
         "any_paradox": any(r.paradox for r in reports),
     }
-    _report("simpson", config, result)
+    _report("simpson", {}, result)
     return EXIT_OK
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    config = _config(args)
+    config = {"seed": _seed(args)}
     kind = resolve_kind(args.kind)
-    witness = paradox_search(kind, args.k, args.trials, config.seed)
+    witness = paradox_search(kind, args.k, args.trials, config["seed"])
     if witness is None:
         _report("search", config, {"witness": None, "trials": args.trials})
         return EXIT_NOT_FOUND
@@ -125,24 +121,22 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_canonical(args: argparse.Namespace) -> int:
-    config = _config(args)
     table = io.load_table(args.table)
     trace = canonicalize(table)
     if args.out:
         io.save_table(trace.final, args.out)
-    _report("canonical", config, io.trace_to_dict(trace))
+    _report("canonical", {}, io.trace_to_dict(trace))
     return EXIT_OK
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    config = _config(args)
     table = io.load_table(args.table)
-    _report("decompose", config, io.decomposition_to_dict(decompose(table)))
+    _report("decompose", {}, io.decomposition_to_dict(decompose(table)))
     return EXIT_OK
 
 
 def cmd_power(args: argparse.Namespace) -> int:
-    config = _config(args)
+    config = {"output_format": args.format}
     if (args.p is None) == (args.table is None):
         raise InvalidTableError("power needs exactly one of --p or --table")
     if args.table is not None:
@@ -159,10 +153,11 @@ def cmd_power(args: argparse.Namespace) -> int:
         "empirical": None,
     }
     if args.mc:
-        freqs = simulate_decisions(table, args.N, DI, args.mc, config.seed)
+        config["seed"] = _seed(args)
+        freqs = simulate_decisions(table, args.N, DI, args.mc, config["seed"])
         row["empirical"] = freqs["positive"]
         row["replications"] = args.mc
-    if config.output_format == "csv":
+    if args.format == "csv":
         empirical = "" if row["empirical"] is None else repr(row["empirical"])
         print("N,p,exact,normal,empirical")
         print(f"{row['N']},{row['p']!r},{row['exact']!r},{row['normal']!r},{empirical}")
@@ -179,16 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bintab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False, tol=False, fmt=False):
-        if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="RNG seed; 0 or omitted draws one from entropy")
-        if tol:
-            p.add_argument("--tol", type=float, default=None)
-            p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-        if fmt:
-            p.add_argument("--format", choices=("json", "csv"), default=None)
-
     p = sub.add_parser("params", help="evaluate an association parameter")
     p.add_argument("table")
     p.add_argument("--kind", choices=("lor", "di", "ex", "bahadur"), default="lor")
@@ -200,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="invert a parameter file back to a table")
     p.add_argument("params")
     p.add_argument("--out", default=None, help="also write the table file")
-    common(p, tol=True)
+    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--max-iter", dest="max_iter", type=int, default=10_000)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("simpson", help="layer/collapsed sign scan over every variable")
@@ -214,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--out", default=None, help="write the witness table file")
-    common(p, seed=True)
+    p.add_argument("--seed", type=int, default=0,
+                   help="RNG seed; 0 or omitted draws one from entropy")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("canonical", help="reduce to the odds-ratio canonical table")
@@ -231,7 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=None, help="even-parity mass")
     p.add_argument("--table", default=None, help="table file to take the mass from")
     p.add_argument("--mc", type=int, default=0, help="Monte Carlo replications")
-    common(p, seed=True, fmt=True)
+    p.add_argument("--seed", type=int, default=0,
+                   help="RNG seed; 0 or omitted draws one from entropy")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_power)
 
     return parser

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .assoc import AssociationKind, SIGN_TAU, _measure, di, evaluate, sign, thresholded_sign
+from .assoc import AssociationKind, SIGN_TAU, _measure, evaluate, sign, thresholded_sign
 from .errors import EvaluationError, InvalidTableError
 from .table import BinaryTable, collapse, rescale_conditional_pair, slice_table, swap_category
 
@@ -92,15 +92,6 @@ def paradox_search(
         if any(report.paradox for report in simpson_scan(table, [kind])):
             return table
     return None
-
-
-def di_collapse_additivity(table: BinaryTable, i: int) -> tuple[float, float, float]:
-    """(DI of layer 1, DI of layer 2, DI of collapse); the third is the sum."""
-    return (
-        di(slice_table(table, i, 1)),
-        di(slice_table(table, i, 2)),
-        di(collapse(table, i)),
-    )
 
 
 def additivity_sign_check(p: BinaryTable, q: BinaryTable, kind: AssociationKind) -> bool:

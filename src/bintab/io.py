@@ -1,4 +1,4 @@
-"""File formats and run configuration.
+"""File formats and the report envelope.
 
 Tables, parameter sets, traces, decompositions and reports all exchange as
 JSON.  Table entries are written with Python's shortest-round-trip float
@@ -7,14 +7,14 @@ repr, so decimal inputs survive a parse/serialize cycle bit-identically.
 Table file:      {"k": 2, "entries": [2.0, 3.0, 4.0, 5.0], "labels": [...]}
                  entries row-major with variable 1 most significant.
 Parameter file:  {"k": 2, "kind": "di", "00": 14.0, "01": -2.0, ...}
-                 one key per mask bitstring.
+                 one key per mask: the k-digit bitstring of the mask
+                 integer, variable 1 first ("" for the single mask of k=0).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, asdict
 from typing import Optional, TextIO, Union
 
 import numpy as np
@@ -22,9 +22,9 @@ import numpy as np
 from ._version import __version__
 from .collapsibility import CollapseReport, PropertyBatterySummary
 from .errors import InvalidTableError
-from .paramset import ParamSet
+from .paramset import ParamSet, _mask_key
 from .structure import CanonicalTrace, Decomposition
-from .table import MAX_DIM, BinaryTable, MarginMask
+from .table import MAX_DIM, BinaryTable
 
 Pathish = Union[str, "os.PathLike[str]"]
 
@@ -115,16 +115,16 @@ def paramset_from_dict(payload: object) -> ParamSet:
     for key, value in payload.items():
         if key in ("k", "kind"):
             continue
-        mask = MarginMask.from_string(key)
-        if mask.k != k:
-            raise InvalidTableError(f"mask {key!r} has length {mask.k}, expected {k}")
+        if len(key) != k or not set(key) <= {"0", "1"}:
+            raise InvalidTableError(f"mask {key!r} is not a bitstring of length {k}")
         if not _is_number(value):
             raise InvalidTableError(f"value for mask {key!r} must be a number, got {value!r}")
-        values[mask.to_int()] = float(value)
-        seen.add(mask.to_int())
+        mask = int(key or "0", 2)
+        values[mask] = float(value)
+        seen.add(mask)
     missing = set(range(2**k)) - seen
     if missing:
-        bad = MarginMask.from_int(min(missing), k).to_string()
+        bad = _mask_key(min(missing), k)
         raise InvalidTableError(f"parameter file is missing {len(missing)} masks (e.g. {bad!r})")
     return ParamSet(k, kind, values)
 
@@ -194,37 +194,12 @@ def battery_to_dict(summary: PropertyBatterySummary) -> dict:
     }
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation settings, echoed verbatim in every report.
-
-    ``seed = 0`` means "derive a fresh seed from OS entropy"; the derived
-    value replaces the 0 so the run can be replayed.
-    """
-
-    seed: int = 0
-    tol: float = 1e-8
-    max_iter: int = 10_000
-    output_format: str = "json"
-
-    def __post_init__(self):
-        if self.output_format not in ("json", "csv"):
-            raise InvalidTableError(
-                f"output format must be 'json' or 'csv', got {self.output_format!r}"
-            )
-        if self.seed == 0:
-            self.seed = int(np.random.SeedSequence().entropy % (2**63))
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def report_envelope(command: str, config: RunConfig, result: object) -> dict:
-    """Wrap a result with tool version and the resolved configuration."""
+def report_envelope(command: str, config: dict, result: object) -> dict:
+    """Wrap a result with the tool version and the settings the command read."""
     return {
         "tool": "bintab",
         "version": __version__,
         "command": command,
-        "config": config.as_dict(),
+        "config": config,
         "result": result,
     }

@@ -32,22 +32,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assoc import ContrastKind
+from .assoc import DI, LOR, ContrastKind, resolve_kind
 from .errors import (
     ConvergenceError,
     EvaluationError,
     InvalidTableError,
     NonRealizableParamsError,
 )
-from .table import BinaryTable, MarginMask, index_to_cell, parity_signs
+from .table import BinaryTable, index_to_cell, parity_signs
 
 
-def _kind_name(kind) -> str:
-    if isinstance(kind, ContrastKind) and kind.name in ("di", "lor"):
-        return kind.name
-    if isinstance(kind, str) and kind.lower() in ("di", "lor"):
-        return kind.lower()
-    raise InvalidTableError(f"parameter system supports kinds 'di' and 'lor', got {kind!r}")
+def _system_kind(kind) -> ContrastKind:
+    """Resolve ``kind`` and check that it is DI or LOR, the kinds with a full system."""
+    resolved = resolve_kind(kind)
+    if resolved not in (DI, LOR):
+        raise InvalidTableError(f"parameter system supports kinds 'di' and 'lor', got {kind!r}")
+    return resolved
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,6 +56,7 @@ class ParamSet:
 
     ``values[m]`` holds the value for the mask whose integer encoding is
     ``m`` (variable 1 most significant), including the empty mask at 0.
+    ``kind`` may be given as a kind object or its name; the name is stored.
     """
 
     k: int
@@ -63,7 +64,7 @@ class ParamSet:
     values: np.ndarray
 
     def __post_init__(self):
-        _kind_name(self.kind)
+        object.__setattr__(self, "kind", _system_kind(self.kind).name)
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.shape != (2**self.k,):
             raise InvalidTableError(
@@ -75,17 +76,9 @@ class ParamSet:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
-    def value(self, mask: MarginMask) -> float:
-        if mask.k != self.k:
-            raise InvalidTableError(f"mask length {mask.k} != k={self.k}")
-        return float(self.values[mask.to_int()])
-
     def as_dict(self) -> dict[str, float]:
-        """Values keyed by mask bitstring, ascending mask integer."""
-        return {
-            MarginMask.from_int(m, self.k).to_string(): float(v)
-            for m, v in enumerate(self.values)
-        }
+        """Values keyed by mask bitstring (``""`` when k=0), ascending mask integer."""
+        return {_mask_key(m, self.k): float(v) for m, v in enumerate(self.values)}
 
     def allclose(self, other: "ParamSet", rtol: float = 1e-12, atol: float = 0.0) -> bool:
         return (
@@ -93,6 +86,11 @@ class ParamSet:
             and self.kind == other.kind
             and bool(np.allclose(self.values, other.values, rtol=rtol, atol=atol))
         )
+
+
+def _mask_key(m: int, k: int) -> str:
+    """Bitstring of mask ``m``, k digits with variable 1 first."""
+    return format(m, f"0{k}b") if k else ""
 
 
 def masks_by_dimension(k: int) -> list[int]:
@@ -159,7 +157,7 @@ def full_params(table: BinaryTable, kind) -> ParamSet:
     DI runs the butterfly (:func:`di_forward_fast`) in ``O(k 2^k)``; LOR
     runs the marginal lattice in ``O(k 3^k)``.
     """
-    if _kind_name(kind) == "di":
+    if _system_kind(kind) == DI:
         return di_forward_fast(table)
     return ParamSet(table.k, "lor", _lor_lattice(table.entries))
 

@@ -10,11 +10,12 @@ N/2) count as not-positive.
 
 ``simulate_decisions`` cross-checks by Monte Carlo for any association
 kind.  Sampled tables may contain empty cells, which valid tables cannot,
-so signs are computed on the raw count vectors: DI in integer arithmetic,
-LOR by a continuity convention when zeros appear (a zero cell pushes the
-log contrast to the infinity of the opposite parity class; zeros in both
-classes leave the sign undefined and raise), all other kinds on the
-empirical proportions.
+so signs are computed on the raw count vectors: the kind ``DI`` in integer
+arithmetic, the kind ``LOR`` by a continuity convention when zeros appear
+(a zero cell pushes the log contrast to the infinity of the opposite parity
+class; zeros in both classes leave the sign undefined and raise), all other
+kinds on the empirical proportions.  Kinds are matched by equality, name
+and ``h`` alike, so a kind that only borrows a name takes the general path.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from .assoc import AssociationKind, ContrastKind, _measure, thresholded_sign
+from .assoc import DI, LOR, AssociationKind, _measure, thresholded_sign
 from .errors import EvaluationError, InvalidTableError
 from .table import BinaryTable, parity_signs
 
@@ -103,7 +104,7 @@ def _multinomial_rows(rng: np.random.Generator, probs: np.ndarray, N: int,
 
 def _sample_sign(counts: np.ndarray, k: int, kind: AssociationKind) -> int:
     """Sign of ``kind`` on one sampled count vector (zeros permitted)."""
-    if isinstance(kind, ContrastKind) and kind.name == "lor":
+    if kind == LOR:
         even = parity_signs(k) > 0
         zero_even = bool((counts[even] == 0).any())
         zero_odd = bool((counts[~even] == 0).any())
@@ -136,7 +137,7 @@ def simulate_decisions(
         raise InvalidTableError(f"replications must be >= 1, got {replications!r}")
     probs = true_table.entries / true_table.entries.sum()
     k = true_table.k
-    is_di = isinstance(kind, ContrastKind) and kind.name == "di"
+    is_di = kind == DI
     signs_vec = parity_signs(k).astype(np.int64)
 
     tally = {1: 0, 0: 0, -1: 0}

@@ -20,6 +20,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Literal
@@ -65,74 +66,23 @@ def parity(cell: Sequence[int]) -> Literal["even", "odd"]:
     return "even" if twos % 2 == 0 else "odd"
 
 
+@functools.lru_cache(maxsize=256)
 def parity_signs(k: int, mask: int | None = None) -> np.ndarray:
-    """Vector of +/-1 over linear indices t: ``(-1)^popcount(t & mask)``.
+    """Read-only vector of +/-1 over linear indices t: ``(-1)^popcount(t & mask)``.
 
     Without a mask every variable counts, so the vector is +1 on even cells
     and -1 on odd ones (``parity_signs(k) > 0`` marks the even cells).  With
     a mask integer ``m`` only the variables of ``m`` count: row ``m`` of the
     Sylvester-ordered Hadamard matrix, the signs of the mask-m contrast.
+    Vectors are memoized per ``(k, mask)`` in a bounded cache and shared
+    between callers, hence read-only.
     """
     idx = np.arange(2**k, dtype=np.uint64)
     if mask is not None:
         idx &= np.uint64(mask)
-    return np.where(np.bitwise_count(idx) % 2 == 0, 1.0, -1.0)
-
-
-@dataclass(frozen=True)
-class MarginMask:
-    """0-1 vector selecting a subset of the variables (a marginal table).
-
-    ``bits[i - 1] == 1`` keeps variable ``V_i``; the all-zero mask denotes
-    the 0-dimensional margin (the grand total).
-    """
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise InvalidTableError(f"mask bits must be 0 or 1, got {self.bits}")
-
-    @property
-    def k(self) -> int:
-        return len(self.bits)
-
-    @property
-    def dim(self) -> int:
-        """Number of selected variables."""
-        return sum(self.bits)
-
-    @property
-    def variables(self) -> tuple[int, ...]:
-        """1-based indices of the selected variables."""
-        return tuple(i + 1 for i, b in enumerate(self.bits) if b)
-
-    def to_int(self) -> int:
-        """Integer encoding, variable 1 most significant (same layout as cells)."""
-        v = 0
-        for b in self.bits:
-            v = (v << 1) | b
-        return v
-
-    def to_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-    @classmethod
-    def from_string(cls, s: str) -> "MarginMask":
-        if not s or any(c not in "01" for c in s):
-            raise InvalidTableError(f"mask string must be nonempty over {{0,1}}: {s!r}")
-        return cls(tuple(int(c) for c in s))
-
-    @classmethod
-    def from_int(cls, value: int, k: int) -> "MarginMask":
-        return cls(tuple((value >> (k - 1 - i)) & 1 for i in range(k)))
-
-    @classmethod
-    def from_variables(cls, variables: Sequence[int], k: int) -> "MarginMask":
-        bits = [0] * k
-        for v in variables:
-            bits[v - 1] = 1
-        return cls(tuple(bits))
+    signs = np.where(np.bitwise_count(idx) % 2 == 0, 1.0, -1.0)
+    signs.flags.writeable = False
+    return signs
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,20 +201,22 @@ def collapse(table: BinaryTable, i: int) -> BinaryTable:
     return BinaryTable(table.k - 1, arr.reshape(-1))
 
 
-def marginal(table: BinaryTable, mask: MarginMask) -> BinaryTable:
-    """Marginal table over the variables selected by ``mask``.
+def marginal(table: BinaryTable, mask: int) -> BinaryTable:
+    """Marginal table over the variables selected by the mask integer ``mask``.
 
-    Collapses every variable whose mask bit is 0; the all-zero mask yields
-    the one-cell table holding the grand total.  The result does not depend
-    on the collapse order.
+    Bit ``k - i`` of ``mask`` (variable 1 most significant, the layout of
+    cell indices) keeps variable ``V_i``; every other variable is collapsed.
+    Mask 0 yields the one-cell table holding the grand total.  The result
+    does not depend on the collapse order.
     """
-    if mask.k != table.k:
-        raise InvalidTableError(f"mask length {mask.k} != table dimension {table.k}")
-    dropped = tuple(i for i, b in enumerate(mask.bits) if b == 0)
+    k = table.k
+    if not 0 <= mask < 2**k:
+        raise InvalidTableError(f"mask {mask!r} outside [0, {2**k}) for k={k}")
+    dropped = tuple(axis for axis in range(k) if not mask >> (k - 1 - axis) & 1)
     if not dropped:
         return table
     arr = table.array().sum(axis=dropped)
-    return BinaryTable(mask.dim, arr.reshape(-1))
+    return BinaryTable(k - len(dropped), arr.reshape(-1))
 
 
 def rescale_conditional_pair(

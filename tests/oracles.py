@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from bintab import BinaryTable, MarginMask, di, lor, marginal
+from bintab import BinaryTable, di, lor, marginal
 
 
 def sign_matrix(k: int) -> np.ndarray:
@@ -28,6 +28,6 @@ def naive_full_params(table: BinaryTable, kind: str) -> np.ndarray:
             else:
                 values[0] = math.fsum(math.log(x) for x in table.entries)
             continue
-        marg = marginal(table, MarginMask.from_int(m, table.k))
+        marg = marginal(table, m)
         values[m] = di(marg) if kind == "di" else lor(marg)
     return values

@@ -180,6 +180,10 @@ class TestSigns:
         assert resolve_kind("bahadur") is BAHADUR
         with pytest.raises(InvalidTableError):
             resolve_kind("nope")
+        with pytest.raises(InvalidTableError):
+            resolve_kind(None)
+        custom = ContrastKind("lor", math.sqrt)
+        assert resolve_kind(custom) is custom and resolve_kind(LOR) is LOR
 
 
 def counted_log():

@@ -13,7 +13,6 @@ from bintab import (
     InvalidTableError,
     additivity_sign_check,
     collapse_check,
-    di_collapse_additivity,
     evaluate,
     paradox_search,
     property_battery,
@@ -48,7 +47,7 @@ class TestCollapseCheck:
         assert all(r.collapsed_sign == 1 for r in reports)
 
     def test_di_additive_on_stack(self):
-        v1, v2, v3 = di_collapse_additivity(STACK, 3)
+        v1, v2, v3 = collapse_check(STACK, DI, 3).values
         assert (v1, v2, v3) == (1.0, 4.0, 5.0)
         assert v3 == v1 + v2
         assert not collapse_check(STACK, DI, 3).paradox
@@ -58,7 +57,7 @@ class TestCollapseCheck:
         for _ in range(50):
             t = random_table(4, rng)
             for i in range(1, 5):
-                v1, v2, v3 = di_collapse_additivity(t, i)
+                v1, v2, v3 = collapse_check(t, DI, i).values
                 assert v3 == pytest.approx(v1 + v2, rel=1e-12, abs=1e-12 * t.total)
 
     def test_constructed_lor_witness(self):

@@ -1,4 +1,4 @@
-"""JSON file formats, run configuration, and the command-line interface."""
+"""JSON file formats, the report envelope, and the command-line interface."""
 
 import json
 import math
@@ -9,7 +9,6 @@ import pytest
 from bintab import (
     BinaryTable,
     InvalidTableError,
-    RunConfig,
     battery_to_dict,
     canonicalize,
     decompose,
@@ -24,7 +23,7 @@ from bintab import (
     save_table,
     trace_to_dict,
 )
-from bintab import DI
+from bintab import DI, LOR, ParamSet
 from bintab.cli import main
 from bintab.io import paramset_from_dict, table_from_dict
 
@@ -110,6 +109,34 @@ class TestParamFiles:
     def test_missing_mask_reported(self):
         with pytest.raises(InvalidTableError, match="'01'"):
             paramset_from_dict({"k": 2, "kind": "di", "00": 1.0, "10": 2.0, "11": 3.0})
+        with pytest.raises(InvalidTableError, match="''"):
+            paramset_from_dict({"k": 0, "kind": "lor"})
+
+    @pytest.mark.parametrize("key", ["0x", "000", "0b1", " 1", "1_0", "+1"])
+    def test_mask_key_must_be_k_bits(self, key):
+        payload = {"k": 2, "kind": "di", "00": 1.0, "01": 2.0, "10": 3.0, "11": 4.0}
+        payload[key] = 0.0
+        with pytest.raises(InvalidTableError, match="bitstring of length 2"):
+            paramset_from_dict(payload)
+
+    def test_kind_object_round_trip(self, tmp_path):
+        values = full_params(BinaryTable.from_entries([2, 3, 4, 5]), LOR).values
+        path = tmp_path / "p.json"
+        save_paramset(ParamSet(2, LOR, values), path)
+        back = load_paramset(path)
+        assert back.kind == "lor" and np.array_equal(back.values, values)
+
+    @pytest.mark.parametrize("kind", ["di", "lor"])
+    def test_zero_dim_round_trip_through_cli(self, capsys, tmp_path, kind):
+        table_path, params_path = tmp_path / "t0.json", tmp_path / "p.json"
+        save_table(BinaryTable.from_entries([3.0]), table_path)
+        assert main(["params", str(table_path), "--kind", kind, "--full",
+                     "--out", str(params_path)]) == 0
+        assert set(json.loads(params_path.read_text())) == {"k", "kind", ""}
+        capsys.readouterr()
+        assert main(["reconstruct", str(params_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["entries"] == [
+            pytest.approx(3.0, rel=1e-12)]
 
     def test_bad_fields(self):
         with pytest.raises(InvalidTableError, match="kind"):
@@ -138,27 +165,11 @@ class TestReportPieces:
         assert set(w["table"]) == {"k", "entries"}
 
     def test_envelope_shape(self):
-        config = RunConfig(seed=5)
-        env = report_envelope("params", config, {"value": 1.0})
-        assert env["tool"] == "bintab" and env["command"] == "params"
-        assert env["config"]["seed"] == 5
-        assert set(env["config"]) == {"seed", "tol", "max_iter", "output_format"}
-        assert env["result"] == {"value": 1.0}
-
-
-class TestRunConfig:
-    def test_zero_seed_replaced_from_entropy(self):
-        a, b = RunConfig(seed=0), RunConfig(seed=0)
-        assert a.seed != 0 and b.seed != 0
-        assert a.seed != b.seed
-
-    def test_explicit_values_kept(self):
-        c = RunConfig(seed=42, tol=1e-6, max_iter=50)
-        assert (c.seed, c.tol, c.max_iter) == (42, 1e-6, 50)
-
-    def test_format_validated(self):
-        with pytest.raises(InvalidTableError):
-            RunConfig(seed=1, output_format="xml")
+        env = report_envelope("search", {"seed": 5}, {"witness": None})
+        assert set(env) == {"tool", "version", "command", "config", "result"}
+        assert env["tool"] == "bintab" and env["command"] == "search"
+        assert env["config"] == {"seed": 5}
+        assert env["result"] == {"witness": None}
 
 
 def run_cli(capsys, *argv):
@@ -173,7 +184,7 @@ class TestCliParams:
         assert code == 0
         env = json.loads(out)
         assert env["tool"] == "bintab" and env["command"] == "params"
-        assert env["config"]["seed"] != 0
+        assert env["config"] == {}
         want = lor(BinaryTable.from_entries([2, 3, 4, 5]))
         assert env["result"]["value"] == pytest.approx(want, rel=1e-12)
 
@@ -372,6 +383,75 @@ class TestCliPower:
     def test_bad_mass_exits_input(self, capsys):
         code, _ = run_cli(capsys, "power", "--N", "100", "--p", "1.5")
         assert code == 2
+
+
+@pytest.fixture
+def param_files(tmp_path, table_file):
+    paths = {}
+    for kind in ("di", "lor"):
+        paths[kind] = str(tmp_path / f"{kind}.json")
+        save_paramset(full_params(load_table(table_file), kind), paths[kind])
+    return paths
+
+
+class TestCliConfig:
+    """The envelope echoes exactly the settings the subcommand read."""
+
+    @pytest.mark.parametrize("argv", [
+        ["params", "{table}"],
+        ["params", "{table}", "--kind", "di", "--full"],
+        ["simpson", "{table}"],
+        ["canonical", "{table}"],
+        ["decompose", "{table}"],
+        ["reconstruct", "{di}"],
+    ], ids=["params", "params-full", "simpson", "canonical", "decompose", "reconstruct-di"])
+    def test_no_setting_read(self, capsys, table_file, param_files, argv):
+        argv = [a.format(table=table_file, **param_files) for a in argv]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["config"] == {}
+
+    def test_reconstruct_lor_echoes_solver_settings(self, capsys, param_files):
+        code, out = run_cli(capsys, "reconstruct", param_files["lor"],
+                            "--tol", "1e-9", "--max-iter", "500")
+        assert code == 0
+        assert json.loads(out)["config"] == {"tol": 1e-9, "max_iter": 500}
+        _, out = run_cli(capsys, "reconstruct", param_files["lor"])
+        assert json.loads(out)["config"] == {"tol": 1e-8, "max_iter": 10_000}
+
+    @pytest.mark.parametrize("seed_args", [[], ["--seed", "0"]], ids=["omitted", "zero"])
+    def test_search_echoes_replayable_seed(self, capsys, seed_args):
+        argv = ["search", "--kind", "lor", "--k", "3", "--trials", "5000"]
+        code, out = run_cli(capsys, *argv, *seed_args)
+        env = json.loads(out)
+        assert set(env["config"]) == {"seed"} and env["config"]["seed"] != 0
+        replay_code, replay = run_cli(capsys, *argv, "--seed", str(env["config"]["seed"]))
+        assert replay_code == code == 0
+        assert json.loads(replay)["result"] == env["result"]
+
+    def test_power_echoes_format_and_monte_carlo_seed(self, capsys):
+        _, out = run_cli(capsys, "power", "--N", "100", "--p", "0.5", "--seed", "3")
+        assert json.loads(out)["config"] == {"output_format": "json"}
+        _, out = run_cli(capsys, "power", "--N", "100", "--p", "0.5", "--mc", "50",
+                         "--seed", "3")
+        assert json.loads(out)["config"] == {"output_format": "json", "seed": 3}
+        _, out = run_cli(capsys, "power", "--N", "100", "--p", "0.5", "--mc", "50")
+        config = json.loads(out)["config"]
+        assert set(config) == {"output_format", "seed"} and config["seed"] != 0
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--kind", "lor", "--k", "3", "--trials", "5"],
+        ["power", "--N", "100", "--p", "0.5", "--mc", "5"],
+    ], ids=["search", "power"])
+    def test_negative_seed_exits_input(self, capsys, argv):
+        code, out = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InvalidTableError"
+
+    def test_power_format_choice_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["power", "--N", "100", "--p", "0.5", "--format", "xml"])
+        assert exc.value.code == 2
 
 
 def test_version_flag(capsys):

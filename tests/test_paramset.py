@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bintab import (
+    DI,
+    EX,
+    LOR,
     BinaryTable,
+    ContrastKind,
     ConvergenceError,
     EvaluationError,
     InvalidTableError,
-    MarginMask,
     NonRealizableParamsError,
     ParamSet,
     di_forward_fast,
@@ -38,13 +41,26 @@ class TestParamSetType:
 
     def test_value_by_mask(self):
         ps = ParamSet(2, "di", np.array([14.0, -2.0, -4.0, 0.0]))
-        assert ps.value(MarginMask.from_string("10")) == -4.0
+        assert ps.values[0b10] == -4.0
         assert ps.as_dict() == {"00": 14.0, "01": -2.0, "10": -4.0, "11": 0.0}
 
-    def test_mask_length_checked(self):
-        ps = ParamSet(2, "di", np.zeros(4))
-        with pytest.raises(InvalidTableError):
-            ps.value(MarginMask.from_string("100"))
+    def test_zero_dim_key_is_empty_string(self):
+        assert ParamSet(0, "lor", np.array([0.5])).as_dict() == {"": 0.5}
+
+    def test_kind_object_stored_as_name(self):
+        v = full_params(BinaryTable.from_entries([2, 3, 4, 5]), LOR).values
+        ps = ParamSet(2, LOR, v)
+        assert ps.kind == "lor"
+        assert lor_inverse(ps).allclose(BinaryTable.from_entries([2, 3, 4, 5]), rtol=1e-7)
+        assert ParamSet(2, DI, np.zeros(4)).kind == "di"
+
+    def test_look_alike_kind_rejected(self):
+        t = BinaryTable.from_entries([2, 3, 4, 5])
+        for kind in (ContrastKind("lor", math.sqrt), ContrastKind("di", math.log), EX):
+            with pytest.raises(InvalidTableError):
+                full_params(t, kind)
+            with pytest.raises(InvalidTableError):
+                ParamSet(2, kind, np.zeros(4))
 
 
 class TestSignSystem:
@@ -189,9 +205,9 @@ class TestLorParams:
     def test_forward_fixture_2112(self):
         t = BinaryTable.from_entries([2, 1, 1, 2])
         ps = full_params(t, "lor")
-        assert ps.value(MarginMask.from_string("11")) == pytest.approx(math.log(4), rel=1e-12)
-        assert ps.value(MarginMask.from_string("10")) == 0.0
-        assert ps.value(MarginMask.from_string("01")) == 0.0
+        assert ps.values[0b11] == pytest.approx(math.log(4), rel=1e-12)
+        assert ps.values[0b10] == 0.0
+        assert ps.values[0b01] == 0.0
         rebuilt = lor_inverse(ps)
         assert rebuilt.allclose(t, rtol=1e-7)
 

@@ -12,6 +12,7 @@ from bintab import (
     EX,
     LOR,
     BinaryTable,
+    ContrastKind,
     EvaluationError,
     InvalidTableError,
     even_parity_mass,
@@ -118,6 +119,10 @@ class TestSampleSign:
         with pytest.raises(EvaluationError):
             _sample_sign(np.array([0, 0, 3, 2]), 2, LOR)
 
+    def test_zero_cell_rule_only_for_lor_itself(self):
+        look_alike = ContrastKind("lor", math.sqrt)
+        assert _sample_sign(np.array([0, 0, 3, 2]), 2, look_alike) == -1
+
     def test_di_sign_matches_integer_contrast(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -180,6 +185,14 @@ class TestSimulate:
         freqs = simulate_decisions(u, 50, kind, 500, seed=3)
         assert freqs["positive"] + freqs["zero"] + freqs["negative"] == pytest.approx(1.0)
         assert 0.3 < freqs["positive"] < 0.7
+
+    def test_integer_path_only_for_di_itself(self):
+        # DI of this table is 0 while its LOR is negative, so the two paths differ
+        t = BinaryTable.from_entries([2, 3, 4, 5])
+        named_di = simulate_decisions(t, 1000, ContrastKind("di", math.log), 500, seed=5)
+        plain = simulate_decisions(t, 1000, ContrastKind("log", math.log), 500, seed=5)
+        assert named_di == plain
+        assert named_di != simulate_decisions(t, 1000, DI, 500, seed=5)
 
     def test_unnormalized_input_allowed(self):
         raw = BinaryTable.from_entries([21, 19, 19, 21])

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from bintab import (
     BinaryTable,
     InvalidTableError,
-    MarginMask,
     cell_to_index,
     collapse,
     conditional_equal,
@@ -64,30 +63,19 @@ class TestIndexing:
         assert np.array_equal(parity_signs(k), want)
         assert np.array_equal(parity_signs(k, 2**k - 1), want)
 
+    def test_parity_signs_memoized_read_only(self):
+        first = parity_signs(3, 0b101)
+        assert parity_signs(3, 0b101) is first
+        with pytest.raises(ValueError):
+            first[0] = 5.0
+        assert first.tolist() == [1, -1, 1, -1, -1, 1, -1, 1]
+        assert not parity_signs(4).flags.writeable
+
     @given(st.integers(1, 8), st.data())
     def test_parity_equals_popcount(self, k, data):
         idx = data.draw(st.integers(0, 2**k - 1))
         expected = "even" if bin(idx).count("1") % 2 == 0 else "odd"
         assert parity(index_to_cell(idx, k)) == expected
-
-
-class TestMarginMask:
-    def test_string_and_int_round_trip(self):
-        m = MarginMask.from_string("011")
-        assert m.to_int() == 3
-        assert m.variables == (2, 3)
-        assert m.dim == 2
-        assert MarginMask.from_int(3, 3) == m
-        assert m.to_string() == "011"
-
-    def test_from_variables(self):
-        assert MarginMask.from_variables([1, 3], 3).to_string() == "101"
-
-    def test_rejects_garbage(self):
-        with pytest.raises(InvalidTableError):
-            MarginMask.from_string("01x")
-        with pytest.raises(InvalidTableError):
-            MarginMask((0, 2))
 
 
 class TestValidation:
@@ -148,13 +136,21 @@ class TestSurgery:
 
     def test_marginal_orders_do_not_matter(self):
         t = BinaryTable.from_entries(np.arange(1.0, 17.0))
-        m = marginal(t, MarginMask.from_string("0110"))
+        m = marginal(t, 0b0110)
         via_collapse = collapse(collapse(t, 4), 1)
         assert m.allclose(via_collapse)
 
     def test_zero_dim_marginal_is_total(self):
         t = BinaryTable.from_entries([2, 3, 4, 5])
-        assert marginal(t, MarginMask.from_string("00")).entries.tolist() == [14.0]
+        assert marginal(t, 0b00).entries.tolist() == [14.0]
+
+    def test_marginal_mask_range_checked(self):
+        t = BinaryTable.from_entries([2, 3, 4, 5])
+        assert marginal(t, 0b11) is t
+        assert marginal(t, 0b10).entries.tolist() == [5.0, 9.0]
+        for mask in (-1, 0b100):
+            with pytest.raises(InvalidTableError, match="mask"):
+                marginal(t, mask)
 
     def test_variable_bounds_checked(self):
         t = BinaryTable.from_entries([2, 3, 4, 5])
