@@ -20,7 +20,6 @@ from .table import (
     Cell,
     cell_to_index,
     collapse,
-    conditional_equal,
     index_to_cell,
     marginal,
     parity,
@@ -48,7 +47,6 @@ from .assoc import (
     lor,
     magnitude_scale,
     odds_ratio,
-    recursive_contrast,
     resolve_kind,
     sign,
     thresholded_sign,
@@ -66,7 +64,6 @@ from .structure import CanonicalTrace, Decomposition, canonicalize, decompose, r
 from .collapsibility import (
     CollapseReport,
     PropertyBatterySummary,
-    additivity_sign_check,
     collapse_check,
     paradox_search,
     property_battery,

@@ -21,7 +21,7 @@ One kernel, ``_measure``, computes any kind on an entry vector: it applies
 together with its magnitude scale, the sum of the absolute summands.  A
 sign compares the two, so ``evaluate``, ``magnitude_scale``, ``sign``, the
 named parameters, the collapse checks and the Monte Carlo signs all come
-from that single pass (``recursive_contrast`` alone recurses on its own).
+from that single pass.
 
 Sums are accumulated with ``math.fsum`` because e.g. EX contrasts cancel
 catastrophically (parity sums of exponentials of similar magnitude).
@@ -37,7 +37,7 @@ from typing import Union
 import numpy as np
 
 from .errors import EvaluationError, InvalidTableError
-from .table import BinaryTable, parity_signs, slice_table
+from .table import BinaryTable, parity_signs
 
 #: Relative threshold below which a parameter value reports sign 0.
 SIGN_TAU = 1e-9
@@ -134,22 +134,6 @@ def odds_ratio(table: BinaryTable) -> float:
     Computed as ``exp(lor)`` to avoid overflow of the raw products.
     """
     return math.exp(lor(table))
-
-
-def recursive_contrast(table: BinaryTable, h: Callable[[float], float], i: int) -> float:
-    """Contrast evaluated by the slice recursion along variable ``i``.
-
-    ``f_k = f_{k-1}(V_i = 1 part) - f_{k-1}(V_i = 2 part)``, down to
-    ``f_1 = h(p(1)) - h(p(2))``; equal to :func:`contrast` for every ``i``.
-    """
-    if table.k == 0:
-        return _h_values(table.entries, h)[0]
-    if table.k == 1:
-        vals = _h_values(table.entries, h)
-        return vals[0] - vals[1]
-    upper = recursive_contrast(slice_table(table, i, 1), h, 1)
-    lower = recursive_contrast(slice_table(table, i, 2), h, 1)
-    return upper - lower
 
 
 def aggregate_contrast(table: BinaryTable, d: Callable[[float], float]) -> float:

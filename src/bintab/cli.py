@@ -61,8 +61,6 @@ def _report(command: str, config: dict, result: object) -> None:
 
 def _seed(args: argparse.Namespace) -> int:
     """The ``--seed`` value, or a fresh one from OS entropy when it is 0 or omitted."""
-    if args.seed < 0:
-        raise InvalidTableError(f"seed must be non-negative, got {args.seed}")
     return args.seed or int(np.random.SeedSequence().entropy % (2**63))
 
 

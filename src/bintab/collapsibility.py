@@ -24,7 +24,9 @@ import numpy as np
 
 from .assoc import AssociationKind, SIGN_TAU, _measure, evaluate, sign, thresholded_sign
 from .errors import EvaluationError, InvalidTableError
-from .table import BinaryTable, collapse, rescale_conditional_pair, slice_table, swap_category
+from .table import (
+    BinaryTable, _check_seed, collapse, rescale_conditional_pair, slice_table, swap_category,
+)
 
 
 def random_table(k: int, rng: np.random.Generator) -> BinaryTable:
@@ -80,34 +82,18 @@ def paradox_search(
     """Random search for a table where collapsing reverses the sign of ``kind``.
 
     Each trial draws its table from a stream keyed by (seed, trial), so the
-    outcome does not depend on evaluation order or thread count.  Returns
-    the first witness table, or None when the budget runs out (always None
-    for DI).
+    outcome does not depend on evaluation order.  Returns the first witness
+    table, or None when the budget runs out (always None for DI).
     """
     if k < 2:
         raise InvalidTableError(f"need k >= 2 to collapse a variable, got k={k}")
+    _check_seed(seed)
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
         table = random_table(k, rng)
         if any(report.paradox for report in simpson_scan(table, [kind])):
             return table
     return None
-
-
-def additivity_sign_check(p: BinaryTable, q: BinaryTable, kind: AssociationKind) -> bool:
-    """Whether adding a zero-sign table leaves the sign of ``kind`` unchanged.
-
-    ``q`` must have sign 0 under ``kind``; the check compares the sign of
-    ``kind`` on the entrywise sum p + q against the sign on p alone.
-    Always true for DI (the value is literally additive); other kinds can
-    fail.
-    """
-    if p.k != q.k:
-        raise InvalidTableError(f"tables disagree on k: {p.k} != {q.k}")
-    if sign(q, kind) != 0:
-        raise InvalidTableError("q must have zero sign under the given kind")
-    total = BinaryTable(p.k, p.entries + q.entries)
-    return sign(total, kind) == sign(p, kind)
 
 
 @dataclass(frozen=True)
@@ -150,6 +136,7 @@ def property_battery(
     Failures are counted per property; up to ``witness_cap`` witnesses per
     property record the table and the exact operation for replay.
     """
+    _check_seed(seed)
     counts = {name: 0 for name in PropertyBatterySummary.PROPERTIES}
     witnesses: dict[str, list[dict]] = {name: [] for name in PropertyBatterySummary.PROPERTIES}
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .assoc import DI, LOR, AssociationKind, _measure, thresholded_sign
 from .errors import EvaluationError, InvalidTableError
-from .table import BinaryTable, parity_signs
+from .table import BinaryTable, _check_seed, parity_signs
 
 #: Replications drawn per derived stream; fixed so results never depend on
 #: how the chunks are scheduled.
@@ -50,16 +50,21 @@ def table_with_even_mass(k: int, p_even: float) -> BinaryTable:
     return BinaryTable(k, entries)
 
 
+def _check_sample(N: int, p: float | None = None) -> None:
+    """Reject a sample size N that is not a positive integer, or p outside (0, 1)."""
+    if not (isinstance(N, int) and N >= 1):
+        raise InvalidTableError(f"N must be a positive integer, got {N!r}")
+    if p is not None and not 0.0 < p < 1.0:
+        raise InvalidTableError(f"p must lie in (0, 1), got {p!r}")
+
+
 def prob_di_positive_exact(N: int, p: float) -> float:
     """P(sampled DI > 0): binomial tail P(X > N/2) for X ~ Bin(N, p).
 
     Terms are accumulated from log-binomial form so large N stays stable;
     the lower limit floor(N/2) + 1 excludes ties.
     """
-    if not (isinstance(N, int) and N >= 1):
-        raise InvalidTableError(f"N must be a positive integer, got {N!r}")
-    if not 0.0 < p < 1.0:
-        raise InvalidTableError(f"p must lie in (0, 1), got {p!r}")
+    _check_sample(N, p)
     log_p, log_q = math.log(p), math.log1p(-p)
     log_n_fact = math.lgamma(N + 1)
     total = math.fsum(
@@ -77,10 +82,7 @@ def prob_di_positive_exact(N: int, p: float) -> float:
 
 def prob_di_positive_normal(N: int, p: float) -> float:
     """Normal approximation Phi(sqrt(N) (p - 1/2) / sqrt(p (1 - p)))."""
-    if not (isinstance(N, int) and N >= 1):
-        raise InvalidTableError(f"N must be a positive integer, got {N!r}")
-    if not 0.0 < p < 1.0:
-        raise InvalidTableError(f"p must lie in (0, 1), got {p!r}")
+    _check_sample(N, p)
     z = math.sqrt(N) * (p - 0.5) / math.sqrt(p * (1.0 - p))
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
@@ -131,10 +133,10 @@ def simulate_decisions(
     the result is reproducible and independent of scheduling.  Returns
     frequencies keyed "positive" / "zero" / "negative".
     """
-    if not (isinstance(N, int) and N >= 1):
-        raise InvalidTableError(f"N must be a positive integer, got {N!r}")
+    _check_sample(N)
     if not (isinstance(replications, int) and replications >= 1):
         raise InvalidTableError(f"replications must be >= 1, got {replications!r}")
+    _check_seed(seed)
     probs = true_table.entries / true_table.entries.sum()
     k = true_table.k
     is_di = kind == DI

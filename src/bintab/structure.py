@@ -89,16 +89,16 @@ def decompose(table: BinaryTable) -> Decomposition:
 
     pairs: list[tuple[int, int, float]] = []
     while residue[even].any() and residue[~even].any():
-        positive = np.flatnonzero(residue > 0)
-        t1 = int(positive[np.lexsort((positive, residue[positive]))[0]])
+        # argmin/argmax return the first occurrence: ties go to the lowest index
+        t1 = int(np.argmin(np.where(residue > 0, residue, np.inf)))
         value = residue[t1]
-        opposite = np.flatnonzero((even != even[t1]) & (residue >= value))
-        partner = int(opposite[np.lexsort((opposite, -residue[opposite]))[0]])
+        # value is the least positive residue and both classes hold one, so partner's is >= value
+        partner = int(np.argmax(np.where(even != even[t1], residue, -np.inf)))
         pairs.append((t1, partner, float(value)))
         residue[t1] = 0.0
         residue[partner] -= value
 
-    peak_cells = [int(t) for t in np.flatnonzero(residue > 0)]
+    peak_cells = (residue > 0).nonzero()[0].tolist()
     if not peak_cells:
         case = "zero"
     else:

@@ -21,6 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Literal
@@ -171,6 +172,12 @@ def _check_variable(table: BinaryTable, i: int) -> int:
     return i
 
 
+def _check_seed(seed: int) -> None:
+    """Reject a seed that cannot key a ``default_rng((seed, index))`` stream."""
+    if operator.index(seed) < 0:
+        raise InvalidTableError(f"seed must be non-negative, got {seed}")
+
+
 def swap_category(table: BinaryTable, i: int) -> BinaryTable:
     """Swap the two categories of variable ``V_i`` (an involution).
 
@@ -236,21 +243,3 @@ def rescale_conditional_pair(
     pos = tuple(j - 1 for j in sfx)
     arr[(slice(None),) + pos] *= c
     return BinaryTable(table.k, np.moveaxis(arr, 0, i - 1).reshape(-1))
-
-
-def conditional_equal(
-    p: BinaryTable, q: BinaryTable, i: int, tol: float = 1e-9
-) -> bool:
-    """Whether ``V_i`` has the same conditional distribution given the rest in p and q.
-
-    Compares ``p(1, t) / p(+, t)`` with ``q(1, t) / q(+, t)`` over all cells
-    ``t`` of the other variables, to relative tolerance ``tol``.
-    """
-    if p.k != q.k:
-        raise InvalidTableError(f"dimension mismatch: {p.k} != {q.k}")
-    _check_variable(p, i)
-    ap = np.moveaxis(p.array(), i - 1, 0)
-    aq = np.moveaxis(q.array(), i - 1, 0)
-    rp = ap[0] / (ap[0] + ap[1])
-    rq = aq[0] / (aq[0] + aq[1])
-    return bool(np.all(np.abs(rp - rq) <= tol * np.maximum(rp, rq)))

@@ -32,12 +32,12 @@ from bintab import (
     magnitude_scale,
     odds_ratio,
     random_table,
-    recursive_contrast,
     resolve_kind,
     sign,
     swap_category,
     thresholded_sign,
 )
+from oracles import recursive_contrast
 
 # k=3 distributions: one cell heavy vs. near-degenerate corner
 HEAVY_CORNER = BinaryTable.from_entries([0.3140] + [0.098] * 7)

@@ -1,4 +1,4 @@
-"""Simpson's paradox detection, DI additivity, and the property battery."""
+"""Simpson's paradox detection, DI additivity, the property battery and seed checks."""
 
 import math
 
@@ -11,7 +11,6 @@ from bintab import (
     LOR,
     BinaryTable,
     InvalidTableError,
-    additivity_sign_check,
     collapse_check,
     evaluate,
     paradox_search,
@@ -19,8 +18,10 @@ from bintab import (
     random_table,
     rescale_conditional_pair,
     simpson_scan,
+    simulate_decisions,
 )
 from bintab.collapsibility import PropertyBatterySummary
+from oracles import additivity_sign_check
 
 # three binary variables; collapsing over the third reverses EX but not LOR
 STACK = BinaryTable.from_entries([6, 5, 5, 7, 3, 1, 3, 7])
@@ -184,3 +185,23 @@ def test_random_table_range_and_determinism():
     assert np.all(t.entries >= math.exp(-3.0)) and np.all(t.entries <= math.exp(3.0))
     again = random_table(4, np.random.default_rng(9))
     assert np.array_equal(t.entries, again.entries)
+
+
+SEEDED_RUNS = {
+    "paradox_search": lambda seed: paradox_search(LOR, 3, 50, seed),
+    "property_battery": lambda seed: property_battery(DI, 3, 5, seed).witnesses,
+    "simulate_decisions": lambda seed: simulate_decisions(
+        BinaryTable.constant(2, 1.0), 10, DI, 5, seed
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_RUNS))
+def test_negative_seed_is_typed_error(name):
+    with pytest.raises(InvalidTableError, match="seed must be non-negative, got -1"):
+        SEEDED_RUNS[name](-1)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_RUNS))
+def test_numpy_integer_seed_accepted(name):
+    assert repr(SEEDED_RUNS[name](np.int64(3))) == repr(SEEDED_RUNS[name](3))

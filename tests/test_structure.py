@@ -19,7 +19,7 @@ from bintab import (
     recompose,
     swap_category,
 )
-from bintab.table import conditional_equal
+from oracles import conditional_equal
 
 
 def tables(max_k=6):
@@ -100,6 +100,34 @@ class TestDecompose:
         want2[[2, 3]] += 2.0
         assert np.array_equal(d.pair_components[1].entries, want1)
         assert np.array_equal(d.pair_components[2].entries, want2)
+
+    @pytest.mark.parametrize(
+        "entries, pairs, peaks, case",
+        [
+            # smallest residues tie across the odd cells 1, 2, 4 and the
+            # largest even residues tie across 3, 5, 6
+            (
+                [1, 3, 3, 2, 3, 2, 2, 1],
+                [[1, 3], [1, 5], [2, 6]],
+                [(1, 2, 1), (2, 1, 1)],
+                "negative",
+            ),
+            (
+                [1, 2, 3, 3, 2, 3, 3, 2],
+                [[1, 3], [2, 3], [2, 5], [4, 6], [5, 7]],
+                [(2, 2, 1)],
+                "positive",
+            ),
+        ],
+    )
+    def test_ties_go_to_lowest_index(self, entries, pairs, peaks, case):
+        d = decompose(BinaryTable.from_entries(entries))
+        assert d.s == 1.0
+        assert d.case == case
+        assert d.increment == 1.0 / (len(pairs) + 1 + len(peaks))
+        raised = [np.flatnonzero(c.entries > d.increment).tolist() for c in d.pair_components]
+        assert raised == [[]] + pairs
+        assert [cell for cell, _ in d.peak_components] == peaks
 
     def test_3112_peaks_in_even_class(self):
         d = decompose(BinaryTable.from_entries([3, 1, 1, 2]))

@@ -9,7 +9,6 @@ from bintab import (
     InvalidTableError,
     cell_to_index,
     collapse,
-    conditional_equal,
     index_to_cell,
     marginal,
     parity,
@@ -18,6 +17,7 @@ from bintab import (
     slice_table,
     swap_category,
 )
+from oracles import conditional_equal
 
 
 def small_tables(max_k=4):
