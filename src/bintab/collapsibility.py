@@ -22,11 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .assoc import AssociationKind, SIGN_TAU, _measure, evaluate, sign, thresholded_sign
+from .assoc import AssociationKind, SIGN_TAU, _measure, evaluate, thresholded_sign
 from .errors import EvaluationError, InvalidTableError
-from .table import (
-    BinaryTable, _check_seed, collapse, rescale_conditional_pair, slice_table, swap_category,
-)
+from .table import BinaryTable, _check_count, _check_variable, rescale_conditional_pair
 
 
 def random_table(k: int, rng: np.random.Generator) -> BinaryTable:
@@ -52,8 +50,10 @@ def collapse_check(table: BinaryTable, kind: AssociationKind, i: int) -> Collaps
     ``paradox`` is set when the layer signs agree, are nonzero, and the
     collapsed sign differs from them.
     """
-    parts = (slice_table(table, i, 1), slice_table(table, i, 2), collapse(table, i))
-    measured = [_measure(part.entries, part.k, kind) for part in parts]
+    _check_variable(table, i)
+    arr = table.array()
+    parts = (arr.take(0, i - 1), arr.take(1, i - 1), arr.sum(axis=i - 1))
+    measured = [_measure(part.reshape(-1), table.k - 1, kind) for part in parts]
     values = tuple(value for value, _ in measured)
     signs = tuple(thresholded_sign(value, scale) for value, scale in measured)
     paradox = signs[0] == signs[1] != 0 and signs[2] != signs[0]
@@ -87,7 +87,8 @@ def paradox_search(
     """
     if k < 2:
         raise InvalidTableError(f"need k >= 2 to collapse a variable, got k={k}")
-    _check_seed(seed)
+    _check_count("seed", seed)
+    _check_count("trials", trials)
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
         table = random_table(k, rng)
@@ -136,7 +137,8 @@ def property_battery(
     Failures are counted per property; up to ``witness_cap`` witnesses per
     property record the table and the exact operation for replay.
     """
-    _check_seed(seed)
+    _check_count("seed", seed)
+    _check_count("trials", trials)
     counts = {name: 0 for name in PropertyBatterySummary.PROPERTIES}
     witnesses: dict[str, list[dict]] = {name: [] for name in PropertyBatterySummary.PROPERTIES}
 
@@ -145,24 +147,23 @@ def property_battery(
         if len(witnesses[name]) < witness_cap:
             witnesses[name].append(payload)
 
-    top_cell = (1,) * k
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
         table = random_table(k, rng)
 
         const_value = float(np.exp(rng.uniform(-3.0, 3.0)))
-        constant = BinaryTable.constant(k, const_value)
         factor = float(np.exp(rng.uniform(0.1, 1.0)))
-        bumped_entries = table.entries.copy()
-        bumped_entries[0] *= factor
-        bumped = BinaryTable(k, bumped_entries)
+        bumped = table.entries.copy()
+        bumped[0] *= factor
         value, scale = _measure(table.entries, k, kind)
-        if sign(constant, kind) != 0 or not evaluate(bumped, kind) > value:
+        constant_sign = thresholded_sign(*_measure(np.full(2**k, const_value), k, kind))
+        if constant_sign != 0 or not _measure(bumped, k, kind)[0] > value:
             record("monotone", {"table": table, "constant": const_value, "factor": factor})
 
         base_sign = thresholded_sign(value, scale)
         for i in range(1, k + 1):
-            if sign(swap_category(table, i), kind) != -base_sign:
+            swapped = np.flip(table.array(), i - 1).reshape(-1)
+            if thresholded_sign(*_measure(swapped, k, kind)) != -base_sign:
                 record("swap_antisymmetry", {"table": table, "variable": i})
                 break
 

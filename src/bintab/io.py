@@ -79,12 +79,15 @@ def table_from_dict(payload: object) -> BinaryTable:
     if k is not None and (isinstance(k, bool) or not isinstance(k, int)):
         raise InvalidTableError(f"field 'k' must be an integer, got {k!r}")
     labels = payload.get("labels")
-    if labels is not None:
-        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-            raise InvalidTableError("field 'labels' must be a list of strings")
-        if k is not None and len(labels) != k:
-            raise InvalidTableError(f"expected {k} labels, got {len(labels)}")
-    return BinaryTable.from_entries(entries, k=k)
+    if labels is not None and (
+        not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
+    ):
+        raise InvalidTableError("field 'labels' must be a list of strings")
+    table = BinaryTable.from_entries(entries, k=k)
+    # checked against the k inferred from the entries when the file gives none
+    if labels is not None and len(labels) != table.k:
+        raise InvalidTableError(f"expected {table.k} labels, got {len(labels)}")
+    return table
 
 
 def load_table(source: Union[Pathish, TextIO]) -> BinaryTable:

@@ -3,7 +3,8 @@
 With N multinomial draws from a normalized table, the sampled DI is
 positive exactly when more than N/2 observations land in even-parity
 cells, so the decision probability is a binomial tail in the even-parity
-mass p alone.  ``prob_di_positive_exact`` sums that tail in log space;
+mass p alone.  ``prob_di_positive_exact`` sums that tail in log space,
+walking out from the mode until the terms underflow;
 ``prob_di_positive_normal`` is the CLT approximation
 ``Phi(sqrt(N) (p - 1/2) / sqrt(p (1 - p)))``.  Ties (even count exactly
 N/2) count as not-positive.
@@ -26,10 +27,12 @@ import numpy as np
 
 from .assoc import DI, LOR, AssociationKind, _measure, thresholded_sign
 from .errors import EvaluationError, InvalidTableError
-from .table import BinaryTable, _check_seed, parity_signs
+from .table import BinaryTable, _check_count, parity_signs
 
-#: Replications drawn per derived stream; fixed so results never depend on
-#: how the chunks are scheduled.
+#: Replications drawn per keyed stream.  Chunks bound the memory of one
+#: draw to CHUNK count rows, and each chunk draws from its own stream keyed
+#: by (seed, chunk index), so a run's first chunks are the same draws
+#: whatever the replication count.
 CHUNK = 4096
 
 SIGN_LABELS = {1: "positive", 0: "zero", -1: "negative"}
@@ -62,22 +65,31 @@ def prob_di_positive_exact(N: int, p: float) -> float:
     """P(sampled DI > 0): binomial tail P(X > N/2) for X ~ Bin(N, p).
 
     Terms are accumulated from log-binomial form so large N stays stable;
-    the lower limit floor(N/2) + 1 excludes ties.
+    the lower limit floor(N/2) + 1 excludes ties.  The pmf is unimodal, so
+    the sum walks out from the mode (clamped into the tail) in both
+    directions and each walk stops at its first term that underflows to
+    0.0: every term it skips is 0.0 too, and ``math.fsum`` is exactly
+    rounded, so the result is the full sum's.
     """
     _check_sample(N, p)
     log_p, log_q = math.log(p), math.log1p(-p)
     log_n_fact = math.lgamma(N + 1)
-    total = math.fsum(
-        math.exp(
-            log_n_fact
-            - math.lgamma(x + 1)
-            - math.lgamma(N - x + 1)
-            + x * log_p
-            + (N - x) * log_q
-        )
-        for x in range(N // 2 + 1, N + 1)
-    )
-    return min(total, 1.0)
+    lo = N // 2 + 1
+    start = min(max(int((N + 1) * p), lo), N)
+    terms = []
+    for walk in (range(start, N + 1), range(start - 1, lo - 1, -1)):
+        for x in walk:
+            term = math.exp(
+                log_n_fact
+                - math.lgamma(x + 1)
+                - math.lgamma(N - x + 1)
+                + x * log_p
+                + (N - x) * log_q
+            )
+            if term == 0.0:
+                break
+            terms.append(term)
+    return min(math.fsum(terms), 1.0)
 
 
 def prob_di_positive_normal(N: int, p: float) -> float:
@@ -129,14 +141,14 @@ def simulate_decisions(
     """Empirical frequency of each sign of ``kind`` over multinomial samples.
 
     The true table is normalized internally.  Replications are drawn in
-    fixed-size chunks, each from a stream keyed by (seed, chunk index), so
-    the result is reproducible and independent of scheduling.  Returns
-    frequencies keyed "positive" / "zero" / "negative".
+    chunks of ``CHUNK`` rows, each from a stream keyed by (seed, chunk
+    index), so the result is reproducible.  Returns frequencies keyed
+    "positive" / "zero" / "negative".
     """
     _check_sample(N)
     if not (isinstance(replications, int) and replications >= 1):
         raise InvalidTableError(f"replications must be >= 1, got {replications!r}")
-    _check_seed(seed)
+    _check_count("seed", seed)
     probs = true_table.entries / true_table.entries.sum()
     k = true_table.k
     is_di = kind == DI

@@ -106,9 +106,9 @@ class BinaryTable:
             raise InvalidTableError(
                 f"expected {2**self.k} entries for k={self.k}, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise InvalidTableError("entries must be finite")
-        if not np.all(arr > 0):
+        if not (arr > 0).all():
             bad = int(np.argmin(arr))
             raise InvalidTableError(
                 f"entry {arr[bad]!r} at cell {index_to_cell(bad, self.k)} is not "
@@ -172,10 +172,14 @@ def _check_variable(table: BinaryTable, i: int) -> int:
     return i
 
 
-def _check_seed(seed: int) -> None:
-    """Reject a seed that cannot key a ``default_rng((seed, index))`` stream."""
-    if operator.index(seed) < 0:
-        raise InvalidTableError(f"seed must be non-negative, got {seed}")
+def _check_count(name: str, value: int) -> None:
+    """Reject a negative seed or trial budget; a non-integer raises TypeError.
+
+    A seed keys ``default_rng((seed, index))`` streams, which take no
+    negative key; a budget of 0 runs nothing.
+    """
+    if operator.index(value) < 0:
+        raise InvalidTableError(f"{name} must be non-negative, got {value}")
 
 
 def swap_category(table: BinaryTable, i: int) -> BinaryTable:
@@ -239,7 +243,7 @@ def rescale_conditional_pair(
     if not c > 0:
         raise InvalidTableError(f"scale factor must be positive, got {c}")
     sfx = validate_cell(suffix, table.k - 1)
-    arr = np.moveaxis(table.array().copy(), i - 1, 0)
-    pos = tuple(j - 1 for j in sfx)
-    arr[(slice(None),) + pos] *= c
-    return BinaryTable(table.k, np.moveaxis(arr, 0, i - 1).reshape(-1))
+    first = cell_to_index(sfx[: i - 1] + (1,) + sfx[i - 1 :])
+    entries = table.entries.copy()
+    entries[[first, first | 1 << (table.k - i)]] *= c
+    return BinaryTable(table.k, entries)

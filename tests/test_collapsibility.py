@@ -205,3 +205,22 @@ def test_negative_seed_is_typed_error(name):
 @pytest.mark.parametrize("name", sorted(SEEDED_RUNS))
 def test_numpy_integer_seed_accepted(name):
     assert repr(SEEDED_RUNS[name](np.int64(3))) == repr(SEEDED_RUNS[name](3))
+
+
+BUDGETED_RUNS = {
+    "paradox_search": lambda trials: paradox_search(LOR, 3, trials, 0),
+    "property_battery": lambda trials: property_battery(LOR, 3, trials, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETED_RUNS))
+def test_negative_trials_is_typed_error(name):
+    with pytest.raises(InvalidTableError, match="trials must be non-negative, got -5"):
+        BUDGETED_RUNS[name](-5)
+
+
+def test_zero_trials_is_an_empty_budget():
+    assert BUDGETED_RUNS["paradox_search"](0) is None
+    s = BUDGETED_RUNS["property_battery"](0)
+    assert s.trials == 0
+    assert s.failures == {name: 0 for name in PropertyBatterySummary.PROPERTIES}

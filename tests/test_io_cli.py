@@ -79,6 +79,8 @@ class TestTableFiles:
             table_from_dict({"k": True, "entries": [1, 2]})
         with pytest.raises(InvalidTableError, match="list of numbers"):
             table_from_dict({"entries": [True, True]})
+        with pytest.raises(InvalidTableError, match="expected 2 labels, got 1"):
+            table_from_dict({"entries": [1, 2, 3, 4], "labels": ["a"]})
         with pytest.raises(InvalidTableError, match="JSON object"):
             table_from_dict([1, 2, 3, 4])
 
@@ -327,6 +329,14 @@ class TestCliSearch:
         code, out = run_cli(capsys, "search", "--kind", "lor", "--k", "1",
                             "--trials", "5", "--seed", "1")
         assert code == 2
+
+    def test_negative_trials_exits_input(self, capsys):
+        code, out = run_cli(capsys, "search", "--kind", "lor", "--k", "3",
+                            "--trials", "-5", "--seed", "1")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error == {"type": "InvalidTableError",
+                         "message": "trials must be non-negative, got -5"}
 
 
 class TestCliStructure:
