@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from bintab import battery_to_dict, property_battery, resolve_kind
+from bintab import property_battery, resolve_kind, to_jsonable
 from bintab.collapsibility import PropertyBatterySummary
 
 
@@ -38,7 +38,7 @@ def main(argv=None) -> int:
             f"{summary.failures[n]:>20}/{args.trials}" for n in names
         )
         print(row)
-        dumps[summary.kind] = battery_to_dict(summary)
+        dumps[summary.kind] = to_jsonable(summary)
     if args.witnesses:
         with open(args.witnesses, "w", encoding="utf-8") as fp:
             json.dump(dumps, fp, indent=2)

@@ -60,7 +60,7 @@ from .paramset import (
     lor_inverse,
     masks_by_dimension,
 )
-from .structure import CanonicalTrace, Decomposition, canonicalize, decompose, recompose
+from .structure import CanonicalTrace, Decomposition, Peak, Step, canonicalize, decompose, recompose
 from .collapsibility import (
     CollapseReport,
     PropertyBatterySummary,
@@ -78,9 +78,6 @@ from .sampling import (
     table_with_even_mass,
 )
 from .io import (
-    battery_to_dict,
-    collapse_report_to_dict,
-    decomposition_to_dict,
     load_paramset,
     load_table,
     paramset_from_dict,
@@ -90,7 +87,7 @@ from .io import (
     save_table,
     table_from_dict,
     table_to_dict,
-    trace_to_dict,
+    to_jsonable,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")] + ["__version__"]

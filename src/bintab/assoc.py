@@ -208,13 +208,13 @@ def magnitude_scale(table: BinaryTable, kind: AssociationKind) -> float:
     return _measure(table.entries, table.k, kind)[1]
 
 
-def thresholded_sign(value: float, scale: float, tau: float = SIGN_TAU) -> int:
-    """-1, 0 or +1; zero when ``|value| <= tau * scale``."""
-    if abs(value) <= tau * scale:
+def thresholded_sign(value: float, scale: float) -> int:
+    """-1, 0 or +1; zero when ``|value| <= SIGN_TAU * scale``."""
+    if abs(value) <= SIGN_TAU * scale:
         return 0
     return 1 if value > 0 else -1
 
 
-def sign(table: BinaryTable, kind: AssociationKind, tau: float = SIGN_TAU) -> int:
-    """Thresholded sign of ``kind`` on ``table``."""
-    return thresholded_sign(*_measure(table.entries, table.k, kind), tau)
+def sign(table: BinaryTable, kind: AssociationKind) -> int:
+    """Sign of ``kind`` on ``table``, zero within ``SIGN_TAU`` of its magnitude scale."""
+    return thresholded_sign(*_measure(table.entries, table.k, kind))

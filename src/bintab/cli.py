@@ -68,10 +68,9 @@ def cmd_params(args: argparse.Namespace) -> int:
     table = io.load_table(args.table)
     kind = resolve_kind(args.kind)
     if args.full:
-        params = full_params(table, kind)
-        result = io.paramset_to_dict(params)
+        result = full_params(table, kind)
         if args.out:
-            io.save_paramset(params, args.out)
+            io.save_paramset(result, args.out)
     else:
         result = {"kind": args.kind, "value": evaluate(table, kind)}
     _report("params", {}, result)
@@ -88,7 +87,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         table = lor_inverse(params, **config)
     if args.out:
         io.save_table(table, args.out)
-    _report("reconstruct", config, io.table_to_dict(table))
+    _report("reconstruct", config, table)
     return EXIT_OK
 
 
@@ -97,7 +96,7 @@ def cmd_simpson(args: argparse.Namespace) -> int:
     kinds = [resolve_kind(name) for name in args.kind.split(",")]
     reports = simpson_scan(table, kinds)
     result = {
-        "reports": [io.collapse_report_to_dict(r) for r in reports],
+        "reports": reports,
         "any_paradox": any(r.paradox for r in reports),
     }
     _report("simpson", {}, result)
@@ -111,10 +110,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     if witness is None:
         _report("search", config, {"witness": None, "trials": args.trials})
         return EXIT_NOT_FOUND
-    reports = [io.collapse_report_to_dict(r) for r in simpson_scan(witness, [kind]) if r.paradox]
+    reports = [r for r in simpson_scan(witness, [kind]) if r.paradox]
     if args.out:
         io.save_table(witness, args.out)
-    _report("search", config, {"witness": io.table_to_dict(witness), "reports": reports})
+    _report("search", config, {"witness": witness, "reports": reports})
     return EXIT_OK
 
 
@@ -123,13 +122,13 @@ def cmd_canonical(args: argparse.Namespace) -> int:
     trace = canonicalize(table)
     if args.out:
         io.save_table(trace.final, args.out)
-    _report("canonical", {}, io.trace_to_dict(trace))
+    _report("canonical", {}, trace)
     return EXIT_OK
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     table = io.load_table(args.table)
-    _report("decompose", {}, io.decomposition_to_dict(decompose(table)))
+    _report("decompose", {}, decompose(table))
     return EXIT_OK
 
 

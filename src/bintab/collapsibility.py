@@ -137,6 +137,8 @@ def property_battery(
     Failures are counted per property; up to ``witness_cap`` witnesses per
     property record the table and the exact operation for replay.
     """
+    if k < 1:
+        raise InvalidTableError(f"need k >= 1 to draw a table, got k={k}")
     _check_count("seed", seed)
     _check_count("trials", trials)
     counts = {name: 0 for name in PropertyBatterySummary.PROPERTIES}

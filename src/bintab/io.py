@@ -1,18 +1,21 @@
-"""File formats and the report envelope.
+"""File formats, the JSON form of every result, and the report envelope.
 
-Tables, parameter sets, traces, decompositions and reports all exchange as
-JSON.  Table entries are written with Python's shortest-round-trip float
-repr, so decimal inputs survive a parse/serialize cycle bit-identically.
+Both file formats are written and parsed here only.  Table entries are
+written with Python's shortest-round-trip float repr, so decimal inputs
+survive a parse/serialize cycle bit-identically.
 
 Table file:      {"k": 2, "entries": [2.0, 3.0, 4.0, 5.0], "labels": [...]}
                  entries row-major with variable 1 most significant.
 Parameter file:  {"k": 2, "kind": "di", "00": 14.0, "01": -2.0, ...}
                  one key per mask: the k-digit bitstring of the mask
                  integer, variable 1 first ("" for the single mask of k=0).
+
+Every result reaches JSON through the one converter :func:`to_jsonable`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from typing import Optional, TextIO, Union
@@ -20,10 +23,8 @@ from typing import Optional, TextIO, Union
 import numpy as np
 
 from ._version import __version__
-from .collapsibility import CollapseReport, PropertyBatterySummary
 from .errors import InvalidTableError
-from .paramset import ParamSet, _mask_key
-from .structure import CanonicalTrace, Decomposition
+from .paramset import ParamSet
 from .table import MAX_DIM, BinaryTable
 
 Pathish = Union[str, "os.PathLike[str]"]
@@ -99,9 +100,16 @@ def save_table(table: BinaryTable, dest: Union[Pathish, TextIO],
     _dump_json(table_to_dict(table, labels), dest)
 
 
+def _mask_key(m: int, k: int) -> str:
+    """Bitstring of mask ``m``, k digits with variable 1 first (``""`` when k=0)."""
+    return format(m, f"0{k}b") if k else ""
+
+
 def paramset_to_dict(params: ParamSet) -> dict:
+    """Parameter file payload: k, kind, then one value per mask in ascending order."""
     payload: dict = {"k": params.k, "kind": params.kind}
-    payload.update(params.as_dict())
+    for m, value in enumerate(params.values):
+        payload[_mask_key(m, params.k)] = float(value)
     return payload
 
 
@@ -144,65 +152,35 @@ def save_paramset(params: ParamSet, dest: Union[Pathish, TextIO]) -> None:
     _dump_json(paramset_to_dict(params), dest)
 
 
-def trace_to_dict(trace: CanonicalTrace) -> dict:
-    return {
-        "steps": [
-            {"variable": i, "table": table_to_dict(t)} for i, t in trace.steps
-        ],
-        "final": table_to_dict(trace.final),
-    }
+def to_jsonable(obj: object) -> object:
+    """The JSON form of a library result, converted item by item.
 
-
-def decomposition_to_dict(d: Decomposition) -> dict:
-    return {
-        "s": d.s,
-        "case": d.case,
-        "increment": d.increment,
-        "pair_components": [table_to_dict(t) for t in d.pair_components],
-        "peak_components": [
-            {"cell": list(cell), "table": table_to_dict(t)}
-            for cell, t in d.peak_components
-        ],
-    }
-
-
-def collapse_report_to_dict(report: CollapseReport) -> dict:
-    return {
-        "variable": report.variable,
-        "kind": report.kind,
-        "values": list(report.values),
-        "layer_signs": list(report.layer_signs),
-        "collapsed_sign": report.collapsed_sign,
-        "paradox": report.paradox,
-    }
-
-
-def battery_to_dict(summary: PropertyBatterySummary) -> dict:
-    def jsonable(obj):
-        if isinstance(obj, BinaryTable):
-            return table_to_dict(obj)
-        if isinstance(obj, dict):
-            return {key: jsonable(val) for key, val in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [jsonable(val) for val in obj]
+    Tables and parameter sets take their file formats; other dataclasses and
+    named tuples become dicts keyed by field name, and lists and tuples lists.
+    """
+    if isinstance(obj, (str, int, float)) or obj is None:  # most calls: leaves first
         return obj
-
-    return {
-        "kind": summary.kind,
-        "k": summary.k,
-        "trials": summary.trials,
-        "seed": summary.seed,
-        "failures": dict(summary.failures),
-        "witnesses": jsonable(summary.witnesses),
-    }
+    if isinstance(obj, BinaryTable):
+        return table_to_dict(obj)
+    if isinstance(obj, ParamSet):
+        return paramset_to_dict(obj)
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    elif isinstance(obj, tuple) and hasattr(obj, "_asdict"):
+        obj = obj._asdict()
+    if isinstance(obj, dict):
+        return {key: to_jsonable(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(val) for val in obj]
+    return obj
 
 
 def report_envelope(command: str, config: dict, result: object) -> dict:
-    """Wrap a result with the tool version and the settings the command read."""
+    """Wrap a result, in its JSON form, with the tool version and the settings read."""
     return {
         "tool": "bintab",
         "version": __version__,
         "command": command,
         "config": config,
-        "result": result,
+        "result": to_jsonable(result),
     }

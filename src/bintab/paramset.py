@@ -76,21 +76,12 @@ class ParamSet:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
-    def as_dict(self) -> dict[str, float]:
-        """Values keyed by mask bitstring (``""`` when k=0), ascending mask integer."""
-        return {_mask_key(m, self.k): float(v) for m, v in enumerate(self.values)}
-
     def allclose(self, other: "ParamSet", rtol: float = 1e-12, atol: float = 0.0) -> bool:
         return (
             self.k == other.k
             and self.kind == other.kind
             and bool(np.allclose(self.values, other.values, rtol=rtol, atol=atol))
         )
-
-
-def _mask_key(m: int, k: int) -> str:
-    """Bitstring of mask ``m``, k digits with variable 1 first."""
-    return format(m, f"0{k}b") if k else ""
 
 
 def masks_by_dimension(k: int) -> list[int]:

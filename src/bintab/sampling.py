@@ -55,7 +55,7 @@ def table_with_even_mass(k: int, p_even: float) -> BinaryTable:
 
 def _check_sample(N: int, p: float | None = None) -> None:
     """Reject a sample size N that is not a positive integer, or p outside (0, 1)."""
-    if not (isinstance(N, int) and N >= 1):
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
         raise InvalidTableError(f"N must be a positive integer, got {N!r}")
     if p is not None and not 0.0 < p < 1.0:
         raise InvalidTableError(f"p must lie in (0, 1), got {p!r}")
@@ -146,7 +146,7 @@ def simulate_decisions(
     "positive" / "zero" / "negative".
     """
     _check_sample(N)
-    if not (isinstance(replications, int) and replications >= 1):
+    if isinstance(replications, bool) or not isinstance(replications, int) or replications < 1:
         raise InvalidTableError(f"replications must be >= 1, got {replications!r}")
     _check_count("seed", seed)
     probs = true_table.entries / true_table.entries.sum()

@@ -11,6 +11,7 @@ is the sum of the (same-signed) peak DIs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,11 +19,18 @@ from .errors import InvalidTableError
 from .table import BinaryTable, Cell, index_to_cell, parity_signs
 
 
+class Step(NamedTuple):
+    """The table after canonical reduction step ``variable``."""
+
+    variable: int
+    table: BinaryTable
+
+
 @dataclass(frozen=True)
 class CanonicalTrace:
     """Record of the reduction: one intermediate table per variable."""
 
-    steps: tuple[tuple[int, BinaryTable], ...]
+    steps: tuple[Step, ...]
     final: BinaryTable
 
 
@@ -43,9 +51,16 @@ def canonicalize(table: BinaryTable) -> CanonicalTrace:
         axis = i - 1
         divisor = np.take(arr, [1], axis=axis)
         arr = arr / divisor
-        steps.append((i, BinaryTable.from_array(arr)))
-    final = steps[-1][1] if steps else table
+        steps.append(Step(i, BinaryTable.from_array(arr)))
+    final = steps[-1].table if steps else table
     return CanonicalTrace(steps=tuple(steps), final=final)
+
+
+class Peak(NamedTuple):
+    """A single-peak component and the cell of its peak."""
+
+    cell: Cell
+    table: BinaryTable
 
 
 @dataclass(frozen=True)
@@ -63,7 +78,7 @@ class Decomposition:
     s: float
     case: str
     pair_components: tuple[BinaryTable, ...]
-    peak_components: tuple[tuple[Cell, BinaryTable], ...]
+    peak_components: tuple[Peak, ...]
     increment: float
 
 
@@ -119,7 +134,7 @@ def decompose(table: BinaryTable) -> Decomposition:
     for t in peak_cells:
         base = np.zeros(n)
         base[t] = residue[t]
-        peak_components.append((index_to_cell(t, k), lifted(base)))
+        peak_components.append(Peak(index_to_cell(t, k), lifted(base)))
     return Decomposition(
         s=s,
         case=case,

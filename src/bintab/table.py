@@ -173,12 +173,12 @@ def _check_variable(table: BinaryTable, i: int) -> int:
 
 
 def _check_count(name: str, value: int) -> None:
-    """Reject a negative seed or trial budget; a non-integer raises TypeError.
+    """Reject a negative or bool seed or trial budget; a non-integer raises TypeError.
 
     A seed keys ``default_rng((seed, index))`` streams, which take no
     negative key; a budget of 0 runs nothing.
     """
-    if operator.index(value) < 0:
+    if isinstance(value, bool) or operator.index(value) < 0:
         raise InvalidTableError(f"{name} must be non-negative, got {value}")
 
 

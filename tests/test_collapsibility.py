@@ -219,6 +219,18 @@ def test_negative_trials_is_typed_error(name):
         BUDGETED_RUNS[name](-5)
 
 
+@pytest.mark.parametrize("name", sorted(BUDGETED_RUNS))
+def test_bool_trials_is_typed_error(name):
+    with pytest.raises(InvalidTableError, match="trials must be non-negative, got True"):
+        BUDGETED_RUNS[name](True)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_battery_k_below_one_is_typed_error(k):
+    with pytest.raises(InvalidTableError, match=f"need k >= 1 to draw a table, got k={k}"):
+        property_battery(LOR, k, 5, 0)
+
+
 def test_zero_trials_is_an_empty_budget():
     assert BUDGETED_RUNS["paradox_search"](0) is None
     s = BUDGETED_RUNS["property_battery"](0)

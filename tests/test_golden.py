@@ -2,8 +2,13 @@
 
 Each value was recorded once and must not move: a witness, a failure count,
 a Monte Carlo frequency or an exact tail that changes in its last bit means
-a kernel changed its arithmetic or a keyed stream changed its draws.
+a kernel changed its arithmetic or a keyed stream changed its draws.  The
+CLI envelopes are frozen as digests of their parsed JSON, so a change in a
+result's JSON form shows as well, but the order of keys does not.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -13,12 +18,17 @@ from bintab import (
     EX,
     LOR,
     BinaryTable,
+    __version__,
+    full_params,
     paradox_search,
     prob_di_positive_exact,
     property_battery,
     random_table,
+    save_paramset,
+    save_table,
     simulate_decisions,
 )
+from bintab.cli import main
 
 
 def test_lor_search_witness_is_trial_8():
@@ -59,3 +69,92 @@ def test_simulated_frequencies(kind, seed, positive, negative):
 )
 def test_exact_tail_bits(N, p, bits):
     assert prob_di_positive_exact(N, p).hex() == bits
+
+
+CLI_TABLES = {
+    "t2": [2, 3, 4, 5],
+    "t3": [1.5, 0.7, 2.2, 3.1, 0.4, 1.9, 2.6, 0.8],
+    "stack": [6, 5, 5, 7, 3, 1, 3, 7],
+    "lorw": [2, 5, 8, 1, 1, 8, 5, 2],
+    "big": [1000.0, 1.0, 1.0, 1.0],
+}
+
+# argv (file names in braces) and exit code
+CLI_RUNS = {
+    "params-lor": (["params", "{t2}"], 0),
+    "params-ex": (["params", "{stack}", "--kind", "ex"], 0),
+    "params-bahadur": (["params", "{stack}", "--kind", "bahadur"], 0),
+    "params-di-full-out": (["params", "{t3}", "--kind", "di", "--full", "--out", "{out}"], 0),
+    "params-lor-full": (["params", "{t3}", "--kind", "lor", "--full"], 0),
+    "reconstruct-di": (["reconstruct", "{di3}", "--out", "{out}"], 0),
+    "reconstruct-lor": (["reconstruct", "{lor3}", "--tol", "1e-10"], 0),
+    "simpson-default": (["simpson", "{stack}"], 0),
+    "simpson-kinds": (["simpson", "{lorw}", "--kind", "lor,ex,di,bahadur"], 0),
+    "search-lor": (["search", "--kind", "lor", "--k", "3", "--trials", "200", "--seed", "5",
+                    "--out", "{out}"], 0),
+    "search-di-exhausted": (["search", "--kind", "di", "--k", "3", "--trials", "20",
+                             "--seed", "3"], 4),
+    "canonical-t3": (["canonical", "{t3}", "--out", "{out}"], 0),
+    "canonical-t2": (["canonical", "{t2}"], 0),
+    "decompose-t3": (["decompose", "{t3}"], 0),
+    "decompose-stack": (["decompose", "{stack}"], 0),
+    "decompose-t2": (["decompose", "{t2}"], 0),
+    "power-p": (["power", "--N", "1000", "--p", "0.525"], 0),
+    "power-table-mc": (["power", "--N", "200", "--table", "{t3}", "--mc", "500",
+                        "--seed", "11"], 0),
+    "power-csv-mc": (["power", "--N", "100", "--p", "0.55", "--mc", "300", "--seed", "4",
+                      "--format", "csv"], 0),
+    "power-csv": (["power", "--N", "100", "--p", "0.55", "--format", "csv"], 0),
+    "params-bad-entries": (["params", "{bad}"], 2),
+    "params-ex-overflow": (["params", "{big}", "--kind", "ex"], 3),
+}
+
+# SHA-256 of ``json.dumps(parsed stdout, sort_keys=True)``, the envelope
+# without "version"; for CSV the stdout text is the parsed value
+CLI_DIGESTS = {
+    "canonical-t2": "29784577580b09f24de898b617cfc3751f6068fb1748e664eb01538477280514",
+    "canonical-t3": "9bf2de78e05c100fd6fd719dff1025e729c6d64731e4fe19f6db977b8db86410",
+    "decompose-stack": "e181feb608d9f6db5ed4a08416094c8928da0b1969203a5952c23150d4267520",
+    "decompose-t2": "ab4b18f90798810c1550e0d26f3db15bb8ec1aeb0e1c122bb6934933c49cc1b9",
+    "decompose-t3": "77c680995e872d0d0f8436784fb815ae7f0b601a5cee46ceb595feceda7db0db",
+    "params-bad-entries": "5e27cf8933ddcdefc6db27603f14fb1a0dd47f73eec97d983ddf2ddf13cfddf8",
+    "params-bahadur": "df6cb01163907d83dfcd4da07371d4ce1bfe369019c117939b7f579f0c700438",
+    "params-di-full-out": "2dacd0c55b171f1aae4be3a81b37f0ca0a3c81ec43760ee86ecdf0a22e6ce28c",
+    "params-ex": "f97835e2e75655f5137744e0eedc7b7af15a364f67e43f266abad8c07ab9ac40",
+    "params-ex-overflow": "f255ec093d7f0d028a6f305f96c284edbed436bc715d7b8aa26dc816694e6d32",
+    "params-lor": "48df4c93408ba03bf2eec31814bef6e1abb0e0d8cc024839b07d11cbceffd47d",
+    "params-lor-full": "f98e388fa0003c1583467659970f9ace9f617189092ad79c16b3d1bbc629ca49",
+    "power-csv": "b3e1a816a7af7f31a175e3e7d4773f982fc99025e7eee98841a49c2323b11bc6",
+    "power-csv-mc": "418fcb4a086a44f45b05cff5cd795f0456f6a6ddd3e3ac99505eb54867968573",
+    "power-p": "ed3aa7132e656ff9718340b7bc73bc489ac79a7cfca0c7ea8a0a37ce6516892a",
+    "power-table-mc": "caec85b64b765c42864660f5f8d2ab2b1c2a27e7f544abd4212eb0cfa5e0211c",
+    "reconstruct-di": "3a9ff0d99ac16b51e2fdebc7e5ca4049182b488a7153aacee8c1965fc21de53b",
+    "reconstruct-lor": "31857fd1b5046e4e265b3a63943c8c9857e6cc5b74ac5f8c86b926300a9de0f5",
+    "search-di-exhausted": "bed2e301739cdba0b3bb703642eeb93b8552204beb17e741115a8b09bb56ad26",
+    "search-lor": "b016d76ee88611435fc9071834f864c501da1cdcfc13f63f52eeca10aee27b9c",
+    "simpson-default": "4d8e481cd72446f248c8681b7bd845581107438802b66fac00ca9f046406bd7e",
+    "simpson-kinds": "1819a3f029e55b6ae89699b0df8442ac7302c51ada11470968ff19ea58ee0dc3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_envelope_digests(name, tmp_path, capsys):
+    files = {"out": str(tmp_path / "out.json"), "bad": str(tmp_path / "bad.json")}
+    for key, entries in CLI_TABLES.items():
+        files[key] = str(tmp_path / f"{key}.json")
+        save_table(BinaryTable.from_entries(entries), files[key])
+    for kind in ("di", "lor"):
+        files[f"{kind}3"] = str(tmp_path / f"{kind}3.json")
+        save_paramset(full_params(BinaryTable.from_entries(CLI_TABLES["t3"]), kind),
+                      files[f"{kind}3"])
+    (tmp_path / "bad.json").write_text('{"entries": [1, 2, 3]}')
+    argv, code = CLI_RUNS[name]
+    assert main([a.format(**files) for a in argv]) == code
+    out = capsys.readouterr().out
+    if "csv" in argv:
+        parsed = out
+    else:
+        parsed = json.loads(out)
+        assert parsed.pop("version") == __version__
+    got = hashlib.sha256(json.dumps(parsed, sort_keys=True).encode()).hexdigest()
+    assert got == CLI_DIGESTS[name], out

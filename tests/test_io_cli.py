@@ -9,19 +9,18 @@ import pytest
 from bintab import (
     BinaryTable,
     InvalidTableError,
-    battery_to_dict,
     canonicalize,
     decompose,
-    decomposition_to_dict,
     full_params,
     load_paramset,
     load_table,
     lor,
+    paramset_to_dict,
     property_battery,
     report_envelope,
     save_paramset,
     save_table,
-    trace_to_dict,
+    to_jsonable,
 )
 from bintab import DI, LOR, ParamSet
 from bintab.cli import main
@@ -154,15 +153,15 @@ class TestParamFiles:
 class TestReportPieces:
     def test_trace_and_decomposition_are_json_ready(self):
         t = BinaryTable.from_entries([3, 1, 1, 2])
-        trace = json.dumps(trace_to_dict(canonicalize(t)))
+        trace = json.dumps(to_jsonable(canonicalize(t)))
         assert '"final"' in trace
-        d = json.loads(json.dumps(decomposition_to_dict(decompose(t))))
+        d = json.loads(json.dumps(to_jsonable(decompose(t))))
         assert d["case"] == "positive"
         assert d["peak_components"][0]["cell"] == [1, 1]
 
     def test_battery_witnesses_serialize(self):
         summary = property_battery(DI, 2, 5, seed=1)
-        payload = json.loads(json.dumps(battery_to_dict(summary)))
+        payload = json.loads(json.dumps(to_jsonable(summary)))
         w = payload["witnesses"]["conditional_invariance"][0]
         assert set(w["table"]) == {"k", "entries"}
 
@@ -197,7 +196,7 @@ class TestCliParams:
         )
         assert code == 0
         assert json.loads(out)["result"]["00"] == 14.0
-        assert load_paramset(out_path).as_dict()["10"] == -4.0
+        assert paramset_to_dict(load_paramset(out_path))["10"] == -4.0
 
     def test_ex_overflow_exits_numeric(self, capsys, tmp_path):
         path = tmp_path / "big.json"

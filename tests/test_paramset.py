@@ -24,6 +24,7 @@ from bintab import (
     fwht,
     lor_inverse,
     masks_by_dimension,
+    paramset_to_dict,
     parity_signs,
     random_table,
 )
@@ -42,10 +43,12 @@ class TestParamSetType:
     def test_value_by_mask(self):
         ps = ParamSet(2, "di", np.array([14.0, -2.0, -4.0, 0.0]))
         assert ps.values[0b10] == -4.0
-        assert ps.as_dict() == {"00": 14.0, "01": -2.0, "10": -4.0, "11": 0.0}
+        assert paramset_to_dict(ps) == {
+            "k": 2, "kind": "di", "00": 14.0, "01": -2.0, "10": -4.0, "11": 0.0}
 
     def test_zero_dim_key_is_empty_string(self):
-        assert ParamSet(0, "lor", np.array([0.5])).as_dict() == {"": 0.5}
+        assert paramset_to_dict(ParamSet(0, "lor", np.array([0.5]))) == {
+            "k": 0, "kind": "lor", "": 0.5}
 
     def test_kind_object_stored_as_name(self):
         v = full_params(BinaryTable.from_entries([2, 3, 4, 5]), LOR).values
@@ -112,11 +115,12 @@ class TestSignSystem:
 class TestDiParams:
     def test_k1_sum_and_difference(self):
         ps = full_params(BinaryTable.from_entries([7.0, 3.0]), "di")
-        assert ps.as_dict() == {"0": 10.0, "1": 4.0}
+        assert paramset_to_dict(ps) == {"k": 1, "kind": "di", "0": 10.0, "1": 4.0}
 
     def test_2345_fixture(self):
         ps = full_params(BinaryTable.from_entries([2, 3, 4, 5]), "di")
-        assert ps.as_dict() == {"00": 14.0, "01": -2.0, "10": -4.0, "11": 0.0}
+        assert paramset_to_dict(ps) == {
+            "k": 2, "kind": "di", "00": 14.0, "01": -2.0, "10": -4.0, "11": 0.0}
         assert di_forward_fast(BinaryTable.from_entries([2, 3, 4, 5])).allclose(ps)
 
     def test_uniform_concentrates_on_empty_mask(self):

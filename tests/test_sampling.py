@@ -82,6 +82,9 @@ class TestExactTail:
             prob_di_positive_exact(0, 0.5)
         with pytest.raises(InvalidTableError):
             prob_di_positive_exact(10, 1.0)
+        for prob in (prob_di_positive_exact, prob_di_positive_normal):
+            with pytest.raises(InvalidTableError, match="N must be a positive integer, got True"):
+                prob(True, 0.5)
 
 
 class TestNormalApprox:
@@ -206,3 +209,9 @@ class TestSimulate:
             simulate_decisions(t, 0, DI, 10, seed=1)
         with pytest.raises(InvalidTableError):
             simulate_decisions(t, 10, DI, 0, seed=1)
+        with pytest.raises(InvalidTableError, match="N must be a positive integer, got True"):
+            simulate_decisions(t, True, DI, 10, seed=1)
+        with pytest.raises(InvalidTableError, match="replications must be >= 1, got True"):
+            simulate_decisions(t, 10, DI, True, seed=1)
+        with pytest.raises(InvalidTableError, match="seed must be non-negative, got True"):
+            simulate_decisions(t, 10, DI, 10, seed=True)
