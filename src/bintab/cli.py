@@ -51,8 +51,8 @@ EXIT_NUMERIC = 3
 EXIT_NOT_FOUND = 4
 
 
-def _emit(payload: dict, stream=None) -> None:
-    print(json.dumps(payload, indent=2), file=stream or sys.stdout)
+def _emit(payload: dict) -> None:
+    print(json.dumps(payload, indent=2))
 
 
 def _report(command: str, config: dict, result: object) -> None:
@@ -228,18 +228,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NonRealizableParamsError, ConvergenceError, EvaluationError) as exc:
-        detail = {"type": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, ConvergenceError):
-            detail["residual"] = exc.residual
-        if isinstance(exc, NonRealizableParamsError) and exc.entries is not None:
-            detail["entries"] = [float(x) for x in exc.entries]
-        _emit({"tool": "bintab", "version": __version__, "error": detail})
-        return EXIT_NUMERIC
     except (BintabError, OSError) as exc:
-        _emit({"tool": "bintab", "version": __version__,
-               "error": {"type": type(exc).__name__, "message": str(exc)}})
-        return EXIT_INPUT
+        detail = {"type": type(exc).__name__, "message": str(exc), **io.to_jsonable(vars(exc))}
+        _emit({"tool": "bintab", "version": __version__, "error": detail})
+        numeric = (NonRealizableParamsError, ConvergenceError, EvaluationError)
+        return EXIT_NUMERIC if isinstance(exc, numeric) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -23,12 +23,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assoc import AssociationKind, SIGN_TAU, _measure, evaluate, thresholded_sign
-from .errors import EvaluationError, InvalidTableError
-from .table import BinaryTable, _check_count, _check_variable, rescale_conditional_pair
+from .errors import EvaluationError
+from .table import MAX_DIM, BinaryTable, _check_count, _check_variable, rescale_conditional_pair
 
 
 def random_table(k: int, rng: np.random.Generator) -> BinaryTable:
     """Entrywise log-uniform table on [e^-3, e^3]."""
+    k = _check_count("k", k, 0, MAX_DIM)  # before 2^k draws are allocated
     return BinaryTable(k, np.exp(rng.uniform(-3.0, 3.0, size=2**k)))
 
 
@@ -85,10 +86,9 @@ def paradox_search(
     outcome does not depend on evaluation order.  Returns the first witness
     table, or None when the budget runs out (always None for DI).
     """
-    if k < 2:
-        raise InvalidTableError(f"need k >= 2 to collapse a variable, got k={k}")
-    _check_count("seed", seed)
-    _check_count("trials", trials)
+    k = _check_count("k", k, 2, MAX_DIM)  # one variable to collapse, one left
+    trials = _check_count("trials", trials)
+    seed = _check_count("seed", seed)
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
         table = random_table(k, rng)
@@ -137,10 +137,10 @@ def property_battery(
     Failures are counted per property; up to ``witness_cap`` witnesses per
     property record the table and the exact operation for replay.
     """
-    if k < 1:
-        raise InvalidTableError(f"need k >= 1 to draw a table, got k={k}")
-    _check_count("seed", seed)
-    _check_count("trials", trials)
+    k = _check_count("k", k, 1, MAX_DIM)
+    trials = _check_count("trials", trials)
+    seed = _check_count("seed", seed)
+    witness_cap = _check_count("witness_cap", witness_cap)
     counts = {name: 0 for name in PropertyBatterySummary.PROPERTIES}
     witnesses: dict[str, list[dict]] = {name: [] for name in PropertyBatterySummary.PROPERTIES}
 

@@ -25,7 +25,7 @@ import numpy as np
 from ._version import __version__
 from .errors import InvalidTableError
 from .paramset import ParamSet
-from .table import MAX_DIM, BinaryTable
+from .table import MAX_DIM, BinaryTable, _check_count
 
 Pathish = Union[str, "os.PathLike[str]"]
 
@@ -77,8 +77,8 @@ def table_from_dict(payload: object) -> BinaryTable:
     if not isinstance(entries, list) or not all(_is_number(x) for x in entries):
         raise InvalidTableError("field 'entries' must be a list of numbers")
     k = payload.get("k")
-    if k is not None and (isinstance(k, bool) or not isinstance(k, int)):
-        raise InvalidTableError(f"field 'k' must be an integer, got {k!r}")
+    if k is not None:
+        _check_count("field 'k'", k, 0, MAX_DIM)
     labels = payload.get("labels")
     if labels is not None and (
         not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
@@ -116,9 +116,8 @@ def paramset_to_dict(params: ParamSet) -> dict:
 def paramset_from_dict(payload: object) -> ParamSet:
     if not isinstance(payload, dict):
         raise InvalidTableError("parameter file must be a JSON object")
-    k, kind = payload.get("k"), payload.get("kind")
-    if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= MAX_DIM:
-        raise InvalidTableError(f"field 'k' must be an integer in [0, {MAX_DIM}], got {k!r}")
+    k = _check_count("field 'k'", payload.get("k"), 0, MAX_DIM)  # before 2^k is allocated
+    kind = payload.get("kind")
     if kind not in ("di", "lor"):
         raise InvalidTableError(f"field 'kind' must be 'di' or 'lor', got {kind!r}")
     values = np.empty(2**k)
@@ -156,10 +155,12 @@ def to_jsonable(obj: object) -> object:
     """The JSON form of a library result, converted item by item.
 
     Tables and parameter sets take their file formats; other dataclasses and
-    named tuples become dicts keyed by field name, and lists and tuples lists.
+    named tuples become dicts keyed by field name, and sequences and arrays lists.
     """
     if isinstance(obj, (str, int, float)) or obj is None:  # most calls: leaves first
         return obj
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     if isinstance(obj, BinaryTable):
         return table_to_dict(obj)
     if isinstance(obj, ParamSet):

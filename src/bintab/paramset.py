@@ -39,7 +39,7 @@ from .errors import (
     InvalidTableError,
     NonRealizableParamsError,
 )
-from .table import BinaryTable, index_to_cell, parity_signs
+from .table import BinaryTable, _check_count, _frozen_vector, index_to_cell, parity_signs
 
 
 def _system_kind(kind) -> ContrastKind:
@@ -65,15 +65,8 @@ class ParamSet:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _system_kind(self.kind).name)
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.shape != (2**self.k,):
-            raise InvalidTableError(
-                f"expected {2**self.k} values for k={self.k}, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise InvalidTableError("parameter values must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
+        k, arr = _frozen_vector(self.k, self.values, "parameter values")
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "values", arr)
 
     def allclose(self, other: "ParamSet", rtol: float = 1e-12, atol: float = 0.0) -> bool:
@@ -198,6 +191,7 @@ def lor_inverse(params: ParamSet, tol: float = 1e-8, max_iter: int = 10_000) -> 
         raise InvalidTableError(f"lor_inverse needs kind 'lor', got {params.kind!r}")
     if not tol > 0:
         raise InvalidTableError(f"tol must be positive, got {tol}")
+    max_iter = _check_count("max_iter", max_iter, 1)
     k, n = params.k, 2 ** params.k
     target = params.values
     p = np.full(n, math.exp(target[0] / n))
@@ -209,7 +203,6 @@ def lor_inverse(params: ParamSet, tol: float = 1e-8, max_iter: int = 10_000) -> 
         steps.append((m, p.reshape(-1, block) if block > 1 else None,
                       np.unique(cells[::block] & m, return_inverse=True)[1],
                       parity_signs(m.bit_count()), parity_signs(k, m), 2.0 ** m.bit_count()))
-    residual = math.inf
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
             p *= np.exp((target[0] - float(np.log(p).sum())) / n)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .assoc import DI, LOR, AssociationKind, _measure, thresholded_sign
 from .errors import EvaluationError, InvalidTableError
-from .table import BinaryTable, _check_count, parity_signs
+from .table import MAX_DIM, BinaryTable, _check_count, parity_signs
 
 #: Replications drawn per keyed stream.  Chunks bound the memory of one
 #: draw to CHUNK count rows, and each chunk draws from its own stream keyed
@@ -46,6 +46,7 @@ def even_parity_mass(table: BinaryTable) -> float:
 
 def table_with_even_mass(k: int, p_even: float) -> BinaryTable:
     """Normalized table, constant within each parity class, with the given even mass."""
+    k = _check_count("k", k, 1, MAX_DIM)  # k=0 has no odd cell to carry 1 - p_even
     if not 0.0 < p_even < 1.0:
         raise InvalidTableError(f"p_even must lie in (0, 1), got {p_even!r}")
     half = 2 ** (k - 1)
@@ -53,12 +54,11 @@ def table_with_even_mass(k: int, p_even: float) -> BinaryTable:
     return BinaryTable(k, entries)
 
 
-def _check_sample(N: int, p: float | None = None) -> None:
-    """Reject a sample size N that is not a positive integer, or p outside (0, 1)."""
-    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
-        raise InvalidTableError(f"N must be a positive integer, got {N!r}")
-    if p is not None and not 0.0 < p < 1.0:
+def _check_sample(N: int, p: float) -> int:
+    """Return the sample size N as an int; reject N < 1 or p outside (0, 1)."""
+    if not 0.0 < p < 1.0:
         raise InvalidTableError(f"p must lie in (0, 1), got {p!r}")
+    return _check_count("N", N, 1)
 
 
 def prob_di_positive_exact(N: int, p: float) -> float:
@@ -71,7 +71,7 @@ def prob_di_positive_exact(N: int, p: float) -> float:
     0.0: every term it skips is 0.0 too, and ``math.fsum`` is exactly
     rounded, so the result is the full sum's.
     """
-    _check_sample(N, p)
+    N = _check_sample(N, p)
     log_p, log_q = math.log(p), math.log1p(-p)
     log_n_fact = math.lgamma(N + 1)
     lo = N // 2 + 1
@@ -94,7 +94,7 @@ def prob_di_positive_exact(N: int, p: float) -> float:
 
 def prob_di_positive_normal(N: int, p: float) -> float:
     """Normal approximation Phi(sqrt(N) (p - 1/2) / sqrt(p (1 - p)))."""
-    _check_sample(N, p)
+    N = _check_sample(N, p)
     z = math.sqrt(N) * (p - 0.5) / math.sqrt(p * (1.0 - p))
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
@@ -145,10 +145,9 @@ def simulate_decisions(
     index), so the result is reproducible.  Returns frequencies keyed
     "positive" / "zero" / "negative".
     """
-    _check_sample(N)
-    if isinstance(replications, bool) or not isinstance(replications, int) or replications < 1:
-        raise InvalidTableError(f"replications must be >= 1, got {replications!r}")
-    _check_count("seed", seed)
+    N = _check_count("N", N, 1)
+    replications = _check_count("replications", replications, 1)
+    seed = _check_count("seed", seed)
     probs = true_table.entries / true_table.entries.sum()
     k = true_table.k
     is_di = kind == DI

@@ -86,6 +86,37 @@ def parity_signs(k: int, mask: int | None = None) -> np.ndarray:
     return signs
 
 
+def _check_count(name: str, value: int, low: int = 0, high: int | None = None) -> int:
+    """The one integer check: return ``value`` as an int or raise InvalidTableError.
+
+    A bool, anything ``operator.index`` refuses (a float, a str) and any
+    integer outside ``[low, high]`` fail with one message; numpy integers
+    pass.  Callers: every k (``_frozen_vector``, ``random_table``, the
+    searches, ``table_with_even_mass``, the ``io`` k fields), seeds and
+    trial budgets (>= 0), ``witness_cap``, N, ``replications``, ``max_iter``.
+    """
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < low or (high is not None and n > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise InvalidTableError(f"{name} must be an integer {bound}, got {value!r}")
+    return n
+
+
+def _frozen_vector(k: int, values, noun: str) -> tuple[int, np.ndarray]:
+    """Check k and ``2**k`` finite float64 ``values``; return k and a read-only copy."""
+    k = _check_count("k", k, 0, MAX_DIM)
+    arr = np.array(values, dtype=np.float64)
+    if arr.shape != (2**k,):
+        raise InvalidTableError(f"expected {2**k} {noun} for k={k}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidTableError(f"{noun} must be finite")
+    arr.flags.writeable = False
+    return k, arr
+
+
 @dataclass(frozen=True, eq=False)
 class BinaryTable:
     """Strictly positive entries over the 2^k cells of a k-variable binary table.
@@ -99,23 +130,13 @@ class BinaryTable:
     entries: np.ndarray
 
     def __post_init__(self):
-        if not (0 <= self.k <= MAX_DIM):
-            raise InvalidTableError(f"dimension k={self.k} outside [0, {MAX_DIM}]")
-        arr = np.asarray(self.entries, dtype=np.float64)
-        if arr.shape != (2**self.k,):
-            raise InvalidTableError(
-                f"expected {2**self.k} entries for k={self.k}, got shape {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise InvalidTableError("entries must be finite")
+        k, arr = _frozen_vector(self.k, self.entries, "entries")
         if not (arr > 0).all():
             bad = int(np.argmin(arr))
             raise InvalidTableError(
-                f"entry {arr[bad]!r} at cell {index_to_cell(bad, self.k)} is not "
-                "strictly positive"
+                f"entry {arr[bad]!r} at cell {index_to_cell(bad, k)} is not strictly positive"
             )
-        arr = arr.copy()
-        arr.flags.writeable = False
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "entries", arr)
 
     @classmethod
@@ -172,14 +193,6 @@ def _check_variable(table: BinaryTable, i: int) -> int:
     return i
 
 
-def _check_count(name: str, value: int) -> None:
-    """Reject a negative or bool seed or trial budget; a non-integer raises TypeError.
-
-    A seed keys ``default_rng((seed, index))`` streams, which take no
-    negative key; a budget of 0 runs nothing.
-    """
-    if isinstance(value, bool) or operator.index(value) < 0:
-        raise InvalidTableError(f"{name} must be non-negative, got {value}")
 
 
 def swap_category(table: BinaryTable, i: int) -> BinaryTable:

@@ -198,7 +198,7 @@ SEEDED_RUNS = {
 
 @pytest.mark.parametrize("name", sorted(SEEDED_RUNS))
 def test_negative_seed_is_typed_error(name):
-    with pytest.raises(InvalidTableError, match="seed must be non-negative, got -1"):
+    with pytest.raises(InvalidTableError, match="seed must be an integer >= 0, got -1"):
         SEEDED_RUNS[name](-1)
 
 
@@ -215,19 +215,19 @@ BUDGETED_RUNS = {
 
 @pytest.mark.parametrize("name", sorted(BUDGETED_RUNS))
 def test_negative_trials_is_typed_error(name):
-    with pytest.raises(InvalidTableError, match="trials must be non-negative, got -5"):
+    with pytest.raises(InvalidTableError, match="trials must be an integer >= 0, got -5"):
         BUDGETED_RUNS[name](-5)
 
 
 @pytest.mark.parametrize("name", sorted(BUDGETED_RUNS))
 def test_bool_trials_is_typed_error(name):
-    with pytest.raises(InvalidTableError, match="trials must be non-negative, got True"):
+    with pytest.raises(InvalidTableError, match="trials must be an integer >= 0, got True"):
         BUDGETED_RUNS[name](True)
 
 
 @pytest.mark.parametrize("k", [0, -1])
 def test_battery_k_below_one_is_typed_error(k):
-    with pytest.raises(InvalidTableError, match=f"need k >= 1 to draw a table, got k={k}"):
+    with pytest.raises(InvalidTableError, match=rf"k must be an integer in \[1, 20\], got {k}"):
         property_battery(LOR, k, 5, 0)
 
 

@@ -137,6 +137,11 @@ CLI_DIGESTS = {
 }
 
 
+def _reject_constant(name):
+    # NaN and Infinity are not JSON; strict parsers refuse them
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 @pytest.mark.parametrize("name", sorted(CLI_RUNS))
 def test_cli_envelope_digests(name, tmp_path, capsys):
     files = {"out": str(tmp_path / "out.json"), "bad": str(tmp_path / "bad.json")}
@@ -154,7 +159,7 @@ def test_cli_envelope_digests(name, tmp_path, capsys):
     if "csv" in argv:
         parsed = out
     else:
-        parsed = json.loads(out)
+        parsed = json.loads(out, parse_constant=_reject_constant)
         assert parsed.pop("version") == __version__
     got = hashlib.sha256(json.dumps(parsed, sort_keys=True).encode()).hexdigest()
     assert got == CLI_DIGESTS[name], out

@@ -278,6 +278,16 @@ class TestCliReconstruct:
         assert err["residual"] > 0
 
 
+    def test_zero_max_iter_exits_input(self, capsys, table_file, tmp_path):
+        params_path = tmp_path / "p.json"
+        run_cli(capsys, "params", table_file, "--kind", "lor", "--full",
+                "--out", str(params_path))
+        code, out = run_cli(capsys, "reconstruct", str(params_path), "--max-iter", "0")
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "InvalidTableError",
+                                            "message": "max_iter must be an integer >= 1, got 0"}
+
+
 class TestCliSimpson:
     def test_ex_paradox_flagged(self, capsys, stack_file):
         code, out = run_cli(capsys, "simpson", stack_file, "--kind", "ex")
@@ -335,7 +345,15 @@ class TestCliSearch:
         assert code == 2
         error = json.loads(out)["error"]
         assert error == {"type": "InvalidTableError",
-                         "message": "trials must be non-negative, got -5"}
+                         "message": "trials must be an integer >= 0, got -5"}
+
+    def test_excessive_k_exits_input(self, capsys):
+        # checked before a single 2^k draw is allocated
+        code, out = run_cli(capsys, "search", "--kind", "lor", "--k", "64",
+                            "--trials", "1", "--seed", "1")
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "InvalidTableError",
+                                            "message": "k must be an integer in [2, 20], got 64"}
 
 
 class TestCliStructure:

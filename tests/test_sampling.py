@@ -83,7 +83,7 @@ class TestExactTail:
         with pytest.raises(InvalidTableError):
             prob_di_positive_exact(10, 1.0)
         for prob in (prob_di_positive_exact, prob_di_positive_normal):
-            with pytest.raises(InvalidTableError, match="N must be a positive integer, got True"):
+            with pytest.raises(InvalidTableError, match="N must be an integer >= 1, got True"):
                 prob(True, 0.5)
 
 
@@ -209,9 +209,9 @@ class TestSimulate:
             simulate_decisions(t, 0, DI, 10, seed=1)
         with pytest.raises(InvalidTableError):
             simulate_decisions(t, 10, DI, 0, seed=1)
-        with pytest.raises(InvalidTableError, match="N must be a positive integer, got True"):
+        with pytest.raises(InvalidTableError, match="N must be an integer >= 1, got True"):
             simulate_decisions(t, True, DI, 10, seed=1)
-        with pytest.raises(InvalidTableError, match="replications must be >= 1, got True"):
+        with pytest.raises(InvalidTableError, match="replications must be an integer >= 1, got True"):
             simulate_decisions(t, 10, DI, True, seed=1)
-        with pytest.raises(InvalidTableError, match="seed must be non-negative, got True"):
+        with pytest.raises(InvalidTableError, match="seed must be an integer >= 0, got True"):
             simulate_decisions(t, 10, DI, 10, seed=True)

@@ -1,22 +1,36 @@
 """Core table type: indexing conventions, validation, and table surgery."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bintab import (
+    DI,
+    LOR,
     BinaryTable,
     InvalidTableError,
+    ParamSet,
     cell_to_index,
     collapse,
     index_to_cell,
+    lor_inverse,
     marginal,
+    paradox_search,
     parity,
     parity_signs,
+    prob_di_positive_exact,
+    prob_di_positive_normal,
+    property_battery,
+    random_table,
     rescale_conditional_pair,
+    simulate_decisions,
     slice_table,
     swap_category,
+    table_with_even_mass,
 )
+from bintab.table import MAX_DIM
 from oracles import conditional_equal
 
 
@@ -100,7 +114,7 @@ class TestValidation:
             BinaryTable.from_entries([1.0, 2.0, 3.0])
 
     def test_rejects_excessive_dimension(self):
-        with pytest.raises(InvalidTableError, match="outside"):
+        with pytest.raises(InvalidTableError, match=r"k must be an integer in \[0, 20\], got 25"):
             BinaryTable(25, np.ones(4))  # k cap fires before the shape check
 
     def test_entries_read_only(self):
@@ -113,6 +127,58 @@ class TestValidation:
         t = BinaryTable(2, src)
         src[0] = 99.0
         assert t[(1, 1)] == 1.0
+
+
+# (entry point, integer argument) -> (call with that argument, valid value,
+# low, high); high is None where the argument has no upper bound
+INTEGER_ARGUMENTS = {
+    "BinaryTable-k": (lambda v: BinaryTable(v, np.ones(4)), 2, 0, MAX_DIM),
+    "ParamSet-k": (lambda v: ParamSet(v, "di", np.ones(4)), 2, 0, MAX_DIM),
+    "random_table-k": (lambda v: random_table(v, np.random.default_rng(0)), 2, 0, MAX_DIM),
+    "paradox_search-k": (lambda v: paradox_search(LOR, v, 3, 0), 3, 2, MAX_DIM),
+    "paradox_search-trials": (lambda v: paradox_search(LOR, 3, v, 0), 3, 0, None),
+    "paradox_search-seed": (lambda v: paradox_search(LOR, 3, 3, v), 1, 0, None),
+    "property_battery-k": (lambda v: property_battery(LOR, v, 3, 0), 2, 1, MAX_DIM),
+    "property_battery-trials": (lambda v: property_battery(LOR, 2, v, 0), 3, 0, None),
+    "property_battery-seed": (lambda v: property_battery(LOR, 2, 3, v), 1, 0, None),
+    "property_battery-witness_cap": (
+        lambda v: property_battery(LOR, 2, 3, 0, witness_cap=v), 1, 0, None),
+    "simulate_decisions-N": (
+        lambda v: simulate_decisions(BinaryTable.constant(2, 1.0), v, DI, 5, 0), 10, 1, None),
+    "simulate_decisions-replications": (
+        lambda v: simulate_decisions(BinaryTable.constant(2, 1.0), 10, DI, v, 0), 5, 1, None),
+    "simulate_decisions-seed": (
+        lambda v: simulate_decisions(BinaryTable.constant(2, 1.0), 10, DI, 5, v), 1, 0, None),
+    "prob_di_positive_exact-N": (lambda v: prob_di_positive_exact(v, 0.6), 20, 1, None),
+    "prob_di_positive_normal-N": (lambda v: prob_di_positive_normal(v, 0.6), 20, 1, None),
+    "table_with_even_mass-k": (lambda v: table_with_even_mass(v, 0.6), 2, 1, MAX_DIM),
+    "lor_inverse-max_iter": (
+        lambda v: lor_inverse(ParamSet(2, "lor", np.zeros(4)), max_iter=v), 1, 1, None),
+}
+
+
+def _bad_values(low, high):
+    bad = [True, 2.5, "3", low - 1]
+    return bad if high is None else bad + [MAX_DIM + 1]
+
+
+class TestIntegerContract:
+    """Every integer argument: one typed error and one message for any bad value."""
+
+    @pytest.mark.parametrize("row", sorted(INTEGER_ARGUMENTS))
+    def test_bad_values_are_typed_errors(self, row):
+        call, _, low, high = INTEGER_ARGUMENTS[row]
+        name = row.split("-")[1]
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        for value in _bad_values(low, high):
+            message = f"{name} must be an integer {bound}, got {value!r}"
+            with pytest.raises(InvalidTableError, match=re.escape(message)):
+                call(value)
+
+    @pytest.mark.parametrize("row", sorted(INTEGER_ARGUMENTS))
+    def test_numpy_integer_accepted(self, row):
+        call, valid, _, _ = INTEGER_ARGUMENTS[row]
+        assert repr(call(np.int64(valid))) == repr(call(valid))
 
 
 class TestSurgery:
