@@ -90,4 +90,8 @@ from .io import (
     to_jsonable,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")] + ["__version__"]
+import types as _types
+
+# submodules are package attributes, not exports: `import *` must not rebind `io`
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _types.ModuleType)] + ["__version__"]

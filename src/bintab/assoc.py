@@ -169,7 +169,7 @@ def _measure(entries: np.ndarray, k: int, kind: AssociationKind) -> tuple[float,
     """Value of ``kind`` on an entry vector and its magnitude scale, from one pass.
 
     The scale is the sum of the absolute summands entering the value.  No
-    other function branches on the kind to compute a value.
+    other function branches on the kind to compute a value; callers resolve it first.
     """
     if isinstance(kind, ContrastKind):
         vals = _h_values(entries, kind.h)
@@ -186,26 +186,24 @@ def _measure(entries: np.ndarray, k: int, kind: AssociationKind) -> tuple[float,
         if not (math.isfinite(a) and math.isfinite(b)):
             raise EvaluationError("d produced a non-finite value on a parity-class total")
         return a - b, abs(a) + abs(b)
-    if isinstance(kind, BahadurKind):
-        if k < 2:
-            raise InvalidTableError(f"bahadur requires k >= 2, got k={k}")
-        z = _bahadur_z(entries, k)
-        return float(math.fsum(z.reshape(-1))), float(np.abs(z).sum())
-    raise TypeError(f"not an association kind: {kind!r}")
+    if k < 2:
+        raise InvalidTableError(f"bahadur requires k >= 2, got k={k}")
+    z = _bahadur_z(entries, k)
+    return float(math.fsum(z.reshape(-1))), float(np.abs(z).sum())
 
 
-def evaluate(table: BinaryTable, kind: AssociationKind) -> float:
-    """Evaluate any association kind on a table."""
-    return _measure(table.entries, table.k, kind)[0]
+def evaluate(table: BinaryTable, kind: AssociationKind | str) -> float:
+    """Evaluate any association kind, given as an object or its name, on a table."""
+    return _measure(table.entries, table.k, resolve_kind(kind))[0]
 
 
-def magnitude_scale(table: BinaryTable, kind: AssociationKind) -> float:
+def magnitude_scale(table: BinaryTable, kind: AssociationKind | str) -> float:
     """Scale against which a value of ``kind`` is compared for sign extraction.
 
     The sum of the absolute summands entering the parameter; a value within
     ``SIGN_TAU`` of zero relative to this scale reports sign 0.
     """
-    return _measure(table.entries, table.k, kind)[1]
+    return _measure(table.entries, table.k, resolve_kind(kind))[1]
 
 
 def thresholded_sign(value: float, scale: float) -> int:
@@ -215,6 +213,6 @@ def thresholded_sign(value: float, scale: float) -> int:
     return 1 if value > 0 else -1
 
 
-def sign(table: BinaryTable, kind: AssociationKind) -> int:
+def sign(table: BinaryTable, kind: AssociationKind | str) -> int:
     """Sign of ``kind`` on ``table``, zero within ``SIGN_TAU`` of its magnitude scale."""
-    return thresholded_sign(*_measure(table.entries, table.k, kind))
+    return thresholded_sign(*_measure(table.entries, table.k, resolve_kind(kind)))

@@ -22,9 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .assoc import AssociationKind, SIGN_TAU, _measure, evaluate, thresholded_sign
+from .assoc import AssociationKind, SIGN_TAU, _measure, evaluate, resolve_kind, thresholded_sign
 from .errors import EvaluationError
-from .table import MAX_DIM, BinaryTable, _check_count, _check_variable, rescale_conditional_pair
+from .table import MAX_DIM, BinaryTable, _check_count, rescale_conditional_pair
 
 
 def random_table(k: int, rng: np.random.Generator) -> BinaryTable:
@@ -45,13 +45,14 @@ class CollapseReport:
     paradox: bool
 
 
-def collapse_check(table: BinaryTable, kind: AssociationKind, i: int) -> CollapseReport:
+def collapse_check(table: BinaryTable, kind: AssociationKind | str, i: int) -> CollapseReport:
     """Evaluate ``kind`` on both layers of variable ``i`` and on the collapse.
 
     ``paradox`` is set when the layer signs agree, are nonzero, and the
     collapsed sign differs from them.
     """
-    _check_variable(table, i)
+    kind = resolve_kind(kind)
+    i = _check_count("variable", i, 1, table.k)
     arr = table.array()
     parts = (arr.take(0, i - 1), arr.take(1, i - 1), arr.sum(axis=i - 1))
     measured = [_measure(part.reshape(-1), table.k - 1, kind) for part in parts]
@@ -68,8 +69,11 @@ def collapse_check(table: BinaryTable, kind: AssociationKind, i: int) -> Collaps
     )
 
 
-def simpson_scan(table: BinaryTable, kinds: Sequence[AssociationKind]) -> list[CollapseReport]:
+def simpson_scan(
+    table: BinaryTable, kinds: Sequence[AssociationKind | str]
+) -> list[CollapseReport]:
     """One collapse report per (variable, kind) pair."""
+    kinds = [resolve_kind(kind) for kind in kinds]
     return [
         collapse_check(table, kind, i)
         for i in range(1, table.k + 1)
@@ -78,7 +82,7 @@ def simpson_scan(table: BinaryTable, kinds: Sequence[AssociationKind]) -> list[C
 
 
 def paradox_search(
-    kind: AssociationKind, k: int, trials: int, seed: int
+    kind: AssociationKind | str, k: int, trials: int, seed: int
 ) -> Optional[BinaryTable]:
     """Random search for a table where collapsing reverses the sign of ``kind``.
 
@@ -86,6 +90,7 @@ def paradox_search(
     outcome does not depend on evaluation order.  Returns the first witness
     table, or None when the budget runs out (always None for DI).
     """
+    kind = resolve_kind(kind)
     k = _check_count("k", k, 2, MAX_DIM)  # one variable to collapse, one left
     trials = _check_count("trials", trials)
     seed = _check_count("seed", seed)
@@ -121,7 +126,7 @@ def _values_match(before: float, after: float, scale: float) -> bool:
 
 
 def property_battery(
-    kind: AssociationKind, k: int, trials: int, seed: int, witness_cap: int = 10
+    kind: AssociationKind | str, k: int, trials: int, seed: int, witness_cap: int = 10
 ) -> PropertyBatterySummary:
     """Randomized check of the three defining properties of ``kind``.
 
@@ -137,6 +142,7 @@ def property_battery(
     Failures are counted per property; up to ``witness_cap`` witnesses per
     property record the table and the exact operation for replay.
     """
+    kind = resolve_kind(kind)
     k = _check_count("k", k, 1, MAX_DIM)
     trials = _check_count("trials", trials)
     seed = _check_count("seed", seed)

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import InvalidTableError
-from .paramset import ParamSet
+from .paramset import ParamSet, _system_kind
 from .table import MAX_DIM, BinaryTable, _check_count
 
 Pathish = Union[str, "os.PathLike[str]"]
@@ -44,16 +44,13 @@ def _load_json(source: Union[Pathish, TextIO]) -> object:
         raise InvalidTableError(f"cannot read {source!r}: {exc}") from exc
 
 
-def _dump_json(payload: object, dest: Optional[Union[Pathish, TextIO]]) -> Optional[str]:
-    text = json.dumps(payload, indent=2)
-    if dest is None:
-        return text
+def _dump_json(payload: object, dest: Union[Pathish, TextIO]) -> None:
+    text = json.dumps(payload, indent=2) + "\n"
     if hasattr(dest, "write"):
-        dest.write(text + "\n")
-        return None
+        dest.write(text)
+        return
     with open(dest, "w", encoding="utf-8") as fp:
-        fp.write(text + "\n")
-    return None
+        fp.write(text)
 
 
 def _is_number(x: object) -> bool:
@@ -117,9 +114,7 @@ def paramset_from_dict(payload: object) -> ParamSet:
     if not isinstance(payload, dict):
         raise InvalidTableError("parameter file must be a JSON object")
     k = _check_count("field 'k'", payload.get("k"), 0, MAX_DIM)  # before 2^k is allocated
-    kind = payload.get("kind")
-    if kind not in ("di", "lor"):
-        raise InvalidTableError(f"field 'kind' must be 'di' or 'lor', got {kind!r}")
+    kind = _system_kind(payload.get("kind"))
     values = np.empty(2**k)
     seen = set()
     for key, value in payload.items():

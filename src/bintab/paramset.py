@@ -39,7 +39,8 @@ from .errors import (
     InvalidTableError,
     NonRealizableParamsError,
 )
-from .table import BinaryTable, _check_count, _frozen_vector, index_to_cell, parity_signs
+from .table import (BinaryTable, _check_count, _check_real, _frozen_vector, index_to_cell,
+                    parity_signs)
 
 
 def _system_kind(kind) -> ContrastKind:
@@ -189,8 +190,7 @@ def lor_inverse(params: ParamSet, tol: float = 1e-8, max_iter: int = 10_000) -> 
     """
     if params.kind != "lor":
         raise InvalidTableError(f"lor_inverse needs kind 'lor', got {params.kind!r}")
-    if not tol > 0:
-        raise InvalidTableError(f"tol must be positive, got {tol}")
+    tol = _check_real("tol", tol, 0)
     max_iter = _check_count("max_iter", max_iter, 1)
     k, n = params.k, 2 ** params.k
     target = params.values

@@ -25,9 +25,9 @@ import math
 
 import numpy as np
 
-from .assoc import DI, LOR, AssociationKind, _measure, thresholded_sign
-from .errors import EvaluationError, InvalidTableError
-from .table import MAX_DIM, BinaryTable, _check_count, parity_signs
+from .assoc import DI, LOR, AssociationKind, _measure, resolve_kind, thresholded_sign
+from .errors import EvaluationError
+from .table import MAX_DIM, BinaryTable, _check_count, _check_real, parity_signs
 
 #: Replications drawn per keyed stream.  Chunks bound the memory of one
 #: draw to CHUNK count rows, and each chunk draws from its own stream keyed
@@ -47,18 +47,10 @@ def even_parity_mass(table: BinaryTable) -> float:
 def table_with_even_mass(k: int, p_even: float) -> BinaryTable:
     """Normalized table, constant within each parity class, with the given even mass."""
     k = _check_count("k", k, 1, MAX_DIM)  # k=0 has no odd cell to carry 1 - p_even
-    if not 0.0 < p_even < 1.0:
-        raise InvalidTableError(f"p_even must lie in (0, 1), got {p_even!r}")
+    p_even = _check_real("p_even", p_even, 0, 1)
     half = 2 ** (k - 1)
     entries = np.where(parity_signs(k) > 0, p_even / half, (1.0 - p_even) / half)
     return BinaryTable(k, entries)
-
-
-def _check_sample(N: int, p: float) -> int:
-    """Return the sample size N as an int; reject N < 1 or p outside (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise InvalidTableError(f"p must lie in (0, 1), got {p!r}")
-    return _check_count("N", N, 1)
 
 
 def prob_di_positive_exact(N: int, p: float) -> float:
@@ -71,7 +63,8 @@ def prob_di_positive_exact(N: int, p: float) -> float:
     0.0: every term it skips is 0.0 too, and ``math.fsum`` is exactly
     rounded, so the result is the full sum's.
     """
-    N = _check_sample(N, p)
+    p = _check_real("p", p, 0, 1)
+    N = _check_count("N", N, 1)
     log_p, log_q = math.log(p), math.log1p(-p)
     log_n_fact = math.lgamma(N + 1)
     lo = N // 2 + 1
@@ -94,7 +87,8 @@ def prob_di_positive_exact(N: int, p: float) -> float:
 
 def prob_di_positive_normal(N: int, p: float) -> float:
     """Normal approximation Phi(sqrt(N) (p - 1/2) / sqrt(p (1 - p)))."""
-    N = _check_sample(N, p)
+    p = _check_real("p", p, 0, 1)
+    N = _check_count("N", N, 1)
     z = math.sqrt(N) * (p - 0.5) / math.sqrt(p * (1.0 - p))
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
@@ -134,7 +128,7 @@ def _sample_sign(counts: np.ndarray, k: int, kind: AssociationKind) -> int:
 def simulate_decisions(
     true_table: BinaryTable,
     N: int,
-    kind: AssociationKind,
+    kind: AssociationKind | str,
     replications: int,
     seed: int,
 ) -> dict[str, float]:
@@ -145,6 +139,7 @@ def simulate_decisions(
     index), so the result is reproducible.  Returns frequencies keyed
     "positive" / "zero" / "negative".
     """
+    kind = resolve_kind(kind)
     N = _check_count("N", N, 1)
     replications = _check_count("replications", replications, 1)
     seed = _check_count("seed", seed)

@@ -20,7 +20,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import math
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -38,11 +41,9 @@ MAX_DIM = 20
 
 def validate_cell(cell: Sequence[int], k: int) -> Cell:
     """Check that ``cell`` is a length-k sequence of 1's and 2's; return it as a tuple."""
-    t = tuple(int(j) for j in cell)
+    t = tuple(_check_count("cell component", j, 1, 2) for j in cell)
     if len(t) != k:
         raise InvalidTableError(f"cell {t} has length {len(t)}, expected {k}")
-    if any(j not in (1, 2) for j in t):
-        raise InvalidTableError(f"cell {t} has components outside {{1, 2}}")
     return t
 
 
@@ -50,21 +51,19 @@ def cell_to_index(cell: Sequence[int]) -> int:
     """Linear index of a cell (variable 1 most significant)."""
     idx = 0
     for j in cell:
-        idx = (idx << 1) | (j - 1)
+        idx = (idx << 1) | (_check_count("cell component", j, 1, 2) - 1)
     return idx
 
 
 def index_to_cell(index: int, k: int) -> Cell:
     """Inverse of :func:`cell_to_index`."""
+    index = _check_count("index", index, 0, 2**k - 1)
     return tuple(((index >> (k - 1 - i)) & 1) + 1 for i in range(k))
 
 
 def parity(cell: Sequence[int]) -> Literal["even", "odd"]:
     """Parity of a cell: ``"even"`` iff the count of 2's among its indices is even."""
-    twos = sum(1 for j in cell if j == 2)
-    if any(j not in (1, 2) for j in cell):
-        raise InvalidTableError(f"cell {tuple(cell)} has components outside {{1, 2}}")
-    return "even" if twos % 2 == 0 else "odd"
+    return "even" if cell_to_index(cell).bit_count() % 2 == 0 else "odd"
 
 
 @functools.lru_cache(maxsize=256)
@@ -91,9 +90,10 @@ def _check_count(name: str, value: int, low: int = 0, high: int | None = None) -
 
     A bool, anything ``operator.index`` refuses (a float, a str) and any
     integer outside ``[low, high]`` fail with one message; numpy integers
-    pass.  Callers: every k (``_frozen_vector``, ``random_table``, the
-    searches, ``table_with_even_mass``, the ``io`` k fields), seeds and
-    trial budgets (>= 0), ``witness_cap``, N, ``replications``, ``max_iter``.
+    pass.  Callers: every k, seed, trial budget, ``witness_cap``, N,
+    ``replications`` and ``max_iter``, and every position: a variable in
+    ``[1, k]``, a category or cell component in ``[1, 2]``, a mask in
+    ``[0, 2^k - 1]`` and the index of :func:`index_to_cell`.
     """
     try:
         n = None if isinstance(value, bool) else operator.index(value)
@@ -105,10 +105,25 @@ def _check_count(name: str, value: int, low: int = 0, high: int | None = None) -
     return n
 
 
+def _check_real(name: str, value: float, low: float, high: float = math.inf) -> float:
+    """The one real-number check: return ``value`` as a float strictly inside ``(low, high)``.
+
+    A bool, a non-``numbers.Real`` (a str), NaN and an int beyond the float range
+    fail with one message.  Callers: ``p``, ``p_even``, the rescale factor ``c``, ``tol``.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and low < value < high:
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise InvalidTableError(f"{name} must be a number in ({low}, {high}), got {value!r}")
+
+
 def _frozen_vector(k: int, values, noun: str) -> tuple[int, np.ndarray]:
     """Check k and ``2**k`` finite float64 ``values``; return k and a read-only copy."""
     k = _check_count("k", k, 0, MAX_DIM)
-    arr = np.array(values, dtype=np.float64)
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidTableError(f"{noun} must be numbers: {exc}") from None
     if arr.shape != (2**k,):
         raise InvalidTableError(f"expected {2**k} {noun} for k={k}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -142,7 +157,7 @@ class BinaryTable:
     @classmethod
     def from_entries(cls, entries: Sequence[float], k: int | None = None) -> "BinaryTable":
         """Build from a flat entry sequence; infer k from the length when omitted."""
-        arr = np.asarray(entries, dtype=np.float64).reshape(-1)
+        arr = np.asarray(entries).reshape(-1)
         if k is None:
             n = arr.size
             k = max(n - 1, 0).bit_length()
@@ -153,7 +168,7 @@ class BinaryTable:
     @classmethod
     def from_array(cls, array) -> "BinaryTable":
         """Build from an array of shape ``(2,) * k``."""
-        arr = np.asarray(array, dtype=np.float64)
+        arr = np.asarray(array)
         if arr.shape != (2,) * arr.ndim:
             raise InvalidTableError(f"expected shape (2,)*k, got {arr.shape}")
         return cls(arr.ndim, arr.reshape(-1))
@@ -187,21 +202,13 @@ class BinaryTable:
         return f"BinaryTable(k={self.k}, entries={self.entries.tolist()})"
 
 
-def _check_variable(table: BinaryTable, i: int) -> int:
-    if not 1 <= i <= table.k:
-        raise IndexError(f"variable index {i} outside 1..{table.k}")
-    return i
-
-
-
-
 def swap_category(table: BinaryTable, i: int) -> BinaryTable:
     """Swap the two categories of variable ``V_i`` (an involution).
 
     The entry at ``(..., j_i, ...)`` of the result equals the input entry at
     ``(..., 3 - j_i, ...)``; even- and odd-parity cells exchange roles.
     """
-    _check_variable(table, i)
+    i = _check_count("variable", i, 1, table.k)
     arr = np.flip(table.array(), axis=i - 1)
     return BinaryTable(table.k, arr.reshape(-1))
 
@@ -211,18 +218,16 @@ def slice_table(table: BinaryTable, i: int, j: int) -> BinaryTable:
 
     Remaining variables keep their original order.
     """
-    _check_variable(table, i)
-    if j not in (1, 2):
-        raise IndexError(f"category {j} outside {{1, 2}}")
+    i = _check_count("variable", i, 1, table.k)
+    j = _check_count("category", j, 1, 2)
     arr = np.take(table.array(), j - 1, axis=i - 1)
     return BinaryTable(table.k - 1, arr.reshape(-1))
 
 
 def collapse(table: BinaryTable, i: int) -> BinaryTable:
-    """Marginalize over ``V_i``: entrywise sum of the two ``V_i`` slices."""
-    _check_variable(table, i)
-    arr = table.array().sum(axis=i - 1)
-    return BinaryTable(table.k - 1, arr.reshape(-1))
+    """Marginalize over ``V_i``: the marginal of the other k-1 variables."""
+    i = _check_count("variable", i, 1, table.k)
+    return marginal(table, (2**table.k - 1) ^ (1 << (table.k - i)))
 
 
 def marginal(table: BinaryTable, mask: int) -> BinaryTable:
@@ -234,8 +239,7 @@ def marginal(table: BinaryTable, mask: int) -> BinaryTable:
     does not depend on the collapse order.
     """
     k = table.k
-    if not 0 <= mask < 2**k:
-        raise InvalidTableError(f"mask {mask!r} outside [0, {2**k}) for k={k}")
+    mask = _check_count("mask", mask, 0, 2**k - 1)
     dropped = tuple(axis for axis in range(k) if not mask >> (k - 1 - axis) & 1)
     if not dropped:
         return table
@@ -252,9 +256,8 @@ def rescale_conditional_pair(
     conditional distribution of ``V_i`` given all other variables is
     unchanged.
     """
-    _check_variable(table, i)
-    if not c > 0:
-        raise InvalidTableError(f"scale factor must be positive, got {c}")
+    i = _check_count("variable", i, 1, table.k)
+    c = _check_real("c", c, 0)
     sfx = validate_cell(suffix, table.k - 1)
     first = cell_to_index(sfx[: i - 1] + (1,) + sfx[i - 1 :])
     entries = table.entries.copy()

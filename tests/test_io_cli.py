@@ -1,5 +1,6 @@
 """JSON file formats, the report envelope, and the command-line interface."""
 
+import io
 import json
 import math
 
@@ -48,6 +49,13 @@ class TestTableFiles:
         save_table(t, path)
         back = load_table(path)
         assert np.array_equal(back.entries, t.entries)
+
+    def test_save_needs_a_destination(self):
+        t = BinaryTable.from_entries([1, 2, 3, 4])
+        with pytest.raises(TypeError):
+            save_table(t, None)
+        with pytest.raises(TypeError):
+            save_paramset(full_params(t, DI), None)
 
     def test_labels_round_trip_and_validation(self, tmp_path):
         t = BinaryTable.from_entries([1, 2, 3, 4])
@@ -204,6 +212,13 @@ class TestCliParams:
         code, out = run_cli(capsys, "params", str(path), "--kind", "ex")
         assert code == 3
         assert json.loads(out)["error"]["type"] == "EvaluationError"
+
+    def test_kind_resolved_by_name(self, capsys, table_file):
+        code, out = run_cli(capsys, "params", table_file, "--kind", "DI")
+        assert code == 0 and json.loads(out)["result"]["kind"] == "di"
+        code, out = run_cli(capsys, "params", table_file, "--kind", "nope")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InvalidTableError"
 
     def test_missing_file_exits_input(self, capsys):
         code, out = run_cli(capsys, "params", "/nonexistent/t.json")
@@ -486,6 +501,12 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("bintab ")
+
+
+def test_star_import_exports_no_module():
+    namespace = {"io": io}
+    exec("from bintab import *", namespace)
+    assert namespace["io"] is io and "BinaryTable" in namespace
 
 
 def test_unknown_command_is_usage_error():

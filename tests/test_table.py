@@ -1,5 +1,7 @@
-"""Core table type: indexing conventions, validation, and table surgery."""
+"""Core table type: indexing conventions, validation, table surgery, and the
+argument contract every entry point shares (integers, reals, kinds)."""
 
+import math
 import re
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bintab import (
+    BAHADUR,
     DI,
     LOR,
     BinaryTable,
@@ -14,8 +17,12 @@ from bintab import (
     ParamSet,
     cell_to_index,
     collapse,
+    collapse_check,
+    evaluate,
+    full_params,
     index_to_cell,
     lor_inverse,
+    magnitude_scale,
     marginal,
     paradox_search,
     parity,
@@ -25,12 +32,14 @@ from bintab import (
     property_battery,
     random_table,
     rescale_conditional_pair,
+    sign,
+    simpson_scan,
     simulate_decisions,
     slice_table,
     swap_category,
     table_with_even_mass,
 )
-from bintab.table import MAX_DIM
+from bintab.table import MAX_DIM, validate_cell
 from oracles import conditional_equal
 
 
@@ -122,12 +131,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             t.entries[0] = 9.0
 
+    @pytest.mark.parametrize("build", [
+        lambda v: BinaryTable(2, v),
+        lambda v: BinaryTable.from_entries(v),
+        lambda v: BinaryTable.from_array(np.reshape(np.array(v, dtype=object), (2, 2))),
+        lambda v: ParamSet(2, "di", v),
+    ], ids=["BinaryTable", "from_entries", "from_array", "ParamSet"])
+    def test_rejects_non_numbers(self, build):
+        for values in (["a", "b", "c", "d"], [object()] * 4, [10**400, 1, 1, 1]):
+            with pytest.raises(InvalidTableError, match="must be numbers"):
+                build(values)
+
     def test_construction_copies_input(self):
         src = np.array([1.0, 2.0, 3.0, 4.0])
         t = BinaryTable(2, src)
         src[0] = 99.0
         assert t[(1, 1)] == 1.0
 
+
+T2 = BinaryTable.from_entries([2, 3, 4, 5])
 
 # (entry point, integer argument) -> (call with that argument, valid value,
 # low, high); high is None where the argument has no upper bound
@@ -154,12 +176,29 @@ INTEGER_ARGUMENTS = {
     "table_with_even_mass-k": (lambda v: table_with_even_mass(v, 0.6), 2, 1, MAX_DIM),
     "lor_inverse-max_iter": (
         lambda v: lor_inverse(ParamSet(2, "lor", np.zeros(4)), max_iter=v), 1, 1, None),
+    # positions: a variable in [1, k], a category or cell component in [1, 2],
+    # a mask in [0, 2^k - 1], a linear cell index
+    "swap_category-variable": (lambda v: swap_category(T2, v), 1, 1, 2),
+    "slice_table-variable": (lambda v: slice_table(T2, v, 1), 1, 1, 2),
+    "slice_table-category": (lambda v: slice_table(T2, 1, v), 2, 1, 2),
+    "collapse-variable": (lambda v: collapse(T2, v), 2, 1, 2),
+    "collapse_check-variable": (lambda v: collapse_check(T2, LOR, v), 1, 1, 2),
+    "rescale_conditional_pair-variable": (
+        lambda v: rescale_conditional_pair(T2, v, (2,), 2.0), 1, 1, 2),
+    "rescale_conditional_pair-cell component": (
+        lambda v: rescale_conditional_pair(T2, 1, (v,), 2.0), 2, 1, 2),
+    "BinaryTable.__getitem__-cell component": (lambda v: T2[(1, v)], 2, 1, 2),
+    "validate_cell-cell component": (lambda v: validate_cell((v, 1), 2), 2, 1, 2),
+    "cell_to_index-cell component": (lambda v: cell_to_index((v, 1)), 2, 1, 2),
+    "parity-cell component": (lambda v: parity((1, v)), 2, 1, 2),
+    "marginal-mask": (lambda v: marginal(T2, v), 2, 0, 3),
+    "index_to_cell-index": (lambda v: index_to_cell(v, 2), 3, 0, 3),
 }
 
 
 def _bad_values(low, high):
     bad = [True, 2.5, "3", low - 1]
-    return bad if high is None else bad + [MAX_DIM + 1]
+    return bad if high is None else bad + [high + 1]
 
 
 class TestIntegerContract:
@@ -179,6 +218,71 @@ class TestIntegerContract:
     def test_numpy_integer_accepted(self, row):
         call, valid, _, _ = INTEGER_ARGUMENTS[row]
         assert repr(call(np.int64(valid))) == repr(call(valid))
+
+
+# (entry point, real argument) -> (call with that argument, valid value, low, high);
+# the argument must lie strictly inside (low, high)
+REAL_ARGUMENTS = {
+    "prob_di_positive_exact-p": (lambda v: prob_di_positive_exact(20, v), 0.6, 0, 1),
+    "prob_di_positive_normal-p": (lambda v: prob_di_positive_normal(20, v), 0.6, 0, 1),
+    "table_with_even_mass-p_even": (lambda v: table_with_even_mass(2, v), 0.6, 0, 1),
+    "rescale_conditional_pair-c": (
+        lambda v: rescale_conditional_pair(T2, 1, (2,), v), 2.0, 0, math.inf),
+    "lor_inverse-tol": (
+        lambda v: lor_inverse(ParamSet(2, "lor", np.zeros(4)), tol=v), 1e-8, 0, math.inf),
+}
+
+
+class TestRealContract:
+    """Every real argument: one typed error and one message for any bad value."""
+
+    @pytest.mark.parametrize("row", sorted(REAL_ARGUMENTS))
+    def test_bad_values_are_typed_errors(self, row):
+        call, _, low, high = REAL_ARGUMENTS[row]
+        name = row.split("-")[1]
+        # 10**400 is a Real that no float holds
+        for value in (True, "0.5", math.nan, low, high, -10**400, 10**400):
+            message = f"{name} must be a number in ({low}, {high}), got {value!r}"
+            with pytest.raises(InvalidTableError, match=re.escape(message)):
+                call(value)
+
+    @pytest.mark.parametrize("row", sorted(REAL_ARGUMENTS))
+    def test_numpy_float_accepted(self, row):
+        call, valid, _, _ = REAL_ARGUMENTS[row]
+        assert repr(call(np.float64(valid))) == repr(call(valid))
+
+
+T3 = BinaryTable.from_entries([6, 5, 5, 7, 3, 1, 3, 7])
+
+# entry point -> (call with a kind, a kind it admits)
+KIND_ARGUMENTS = {
+    "evaluate": (lambda kind: evaluate(T3, kind), LOR),
+    "sign": (lambda kind: sign(T3, kind), LOR),
+    "magnitude_scale": (lambda kind: magnitude_scale(T3, kind), BAHADUR),
+    "collapse_check": (lambda kind: collapse_check(T3, kind, 3), LOR),
+    "simpson_scan": (lambda kind: simpson_scan(T3, [kind, DI]), LOR),
+    "paradox_search": (lambda kind: paradox_search(kind, 3, 20, 0), LOR),
+    "property_battery": (lambda kind: property_battery(kind, 2, 5, 1), BAHADUR),
+    "simulate_decisions": (lambda kind: simulate_decisions(T2, 30, kind, 20, 1), LOR),
+    "full_params": (lambda kind: full_params(T3, kind), LOR),
+    "ParamSet": (lambda kind: ParamSet(2, kind, np.zeros(4)), DI),
+}
+
+
+class TestKindContract:
+    """Every kind argument: an object or its name, and a typed error for anything else."""
+
+    @pytest.mark.parametrize("row", sorted(KIND_ARGUMENTS))
+    def test_name_and_object_agree(self, row):
+        call, kind = KIND_ARGUMENTS[row]
+        assert repr(call(kind.name)) == repr(call(kind))
+
+    @pytest.mark.parametrize("row", sorted(KIND_ARGUMENTS))
+    def test_unknown_kinds_are_typed_errors(self, row):
+        call, _ = KIND_ARGUMENTS[row]
+        for bad in ("nope", 5, None):
+            with pytest.raises(InvalidTableError, match=re.escape(repr(bad))):
+                call(bad)
 
 
 class TestSurgery:
@@ -220,9 +324,9 @@ class TestSurgery:
 
     def test_variable_bounds_checked(self):
         t = BinaryTable.from_entries([2, 3, 4, 5])
-        with pytest.raises(IndexError):
+        with pytest.raises(InvalidTableError):
             slice_table(t, 3, 1)
-        with pytest.raises(IndexError):
+        with pytest.raises(InvalidTableError):
             collapse(t, 0)
 
     def test_rescale_conditional_pair(self):
