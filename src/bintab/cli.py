@@ -44,6 +44,7 @@ from .sampling import (
     table_with_even_mass,
 )
 from .structure import canonicalize, decompose
+from .table import _check_real
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -138,7 +139,7 @@ def cmd_power(args: argparse.Namespace) -> int:
         table = io.load_table(args.table)
         p = even_parity_mass(table)
     else:
-        p = args.p
+        p = _check_real("--p", args.p, 0, 1)
         table = table_with_even_mass(2, p)
     row = {
         "N": args.N,

@@ -13,6 +13,15 @@ single-variable category swaps, and invariance under conditional-pair
 rescaling.  Failures are expected for some kinds (DI and EX both depend
 on more than the conditional structure) and are reported with replayable
 witnesses rather than raised.
+
+Both loops draw each trial from its own stream keyed by (seed, trial) and
+measure the trials in blocks of stacked entry rows through the batched
+kernel ``assoc._measure_rows``; a block holds at most ``_CELL_BUDGET``
+cells per stack (one trial at least), so memory does not grow with the
+trial budget.  The kernel settles every sign and comparison exactly as the
+scalar ``_measure`` would (rows its error bound cannot settle are measured
+by ``_measure``), and the outcomes are read in trial order, so witnesses,
+failure counts and typed errors are those of one trial at a time.
 """
 
 from __future__ import annotations
@@ -22,15 +31,42 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .assoc import AssociationKind, SIGN_TAU, _measure, evaluate, resolve_kind, thresholded_sign
+from .assoc import (
+    AssociationKind,
+    SIGN_TAU,
+    _measure,
+    _measure_rows,
+    _settle,
+    _Rows,
+    resolve_kind,
+    thresholded_sign,
+)
 from .errors import EvaluationError
-from .table import MAX_DIM, BinaryTable, _check_count, rescale_conditional_pair
+from .table import MAX_DIM, BinaryTable, _check_count, cell_to_index
+
+#: Entry cells in one stack of rows that a search or battery measures at once
+#: (64 KiB of float64).  A block holds ``_CELL_BUDGET >> k`` trials, at least
+#: one, so memory does not grow with ``trials``, nor with k until a single
+#: table outgrows the budget.
+_CELL_BUDGET = 1 << 13
+
+#: Trials in a search's first block; each further block doubles, up to the
+#: cell budget, so a witness found early costs few draws past it.
+_FIRST_BLOCK = 8
+
+
+def _random_entries(k: int, rng: np.random.Generator) -> np.ndarray:
+    return np.exp(rng.uniform(-3.0, 3.0, size=2**k))
 
 
 def random_table(k: int, rng: np.random.Generator) -> BinaryTable:
     """Entrywise log-uniform table on [e^-3, e^3]."""
     k = _check_count("k", k, 0, MAX_DIM)  # before 2^k draws are allocated
-    return BinaryTable(k, np.exp(rng.uniform(-3.0, 3.0, size=2**k)))
+    return BinaryTable(k, _random_entries(k, rng))
+
+
+def _block_size(k: int) -> int:
+    return max(1, _CELL_BUDGET >> k)
 
 
 @dataclass(frozen=True)
@@ -88,18 +124,59 @@ def paradox_search(
 
     Each trial draws its table from a stream keyed by (seed, trial), so the
     outcome does not depend on evaluation order.  Returns the first witness
-    table, or None when the budget runs out (always None for DI).
+    table, or None when the budget runs out (always None for DI).  Trials
+    are drawn and measured in blocks that start small and double up to the
+    cell budget, and no trial past ``trials`` is drawn.  The witness, and an
+    error ``simpson_scan`` raises on a trial before it, are the ones a scan
+    of one trial after another would meet first.
     """
     kind = resolve_kind(kind)
     k = _check_count("k", k, 2, MAX_DIM)  # one variable to collapse, one left
     trials = _check_count("trials", trials)
     seed = _check_count("seed", seed)
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        table = random_table(k, rng)
-        if any(report.paradox for report in simpson_scan(table, [kind])):
-            return table
+    start, size = 0, _FIRST_BLOCK
+    while start < trials:
+        stop = min(trials, start + min(size, _block_size(k)))
+        rows = np.empty((stop - start, 2**k))
+        for j, trial in enumerate(range(start, stop)):
+            rows[j] = _random_entries(k, np.random.default_rng((seed, trial)))
+        hit = _first_reversal(rows, k, kind)
+        if hit is not None:
+            return BinaryTable(k, rows[hit])
+        start, size = stop, 2 * size
     return None
+
+
+def _first_reversal(rows: np.ndarray, k: int, kind: AssociationKind) -> Optional[int]:
+    """Index of the first row whose scan reverses, or None.
+
+    Variables are measured one at a time, each as one stack of both layers
+    and the collapse of every row still in play; a reversal or an error
+    takes the rows after it out of play.  A row whose scan raises raises its
+    first error in scan order, if no earlier row reverses.
+    """
+    arr = rows.reshape((len(rows),) + (2,) * k)
+    n = len(rows)
+    stopped = np.zeros(n, dtype=bool)
+    errors: dict = {}
+    for axis in range(1, k + 1):
+        lower = arr[(slice(0, n),) + (slice(None),) * (axis - 1) + (0,)]
+        upper = arr[(slice(0, n),) + (slice(None),) * (axis - 1) + (1,)]
+        parts = np.concatenate((lower, upper, lower + upper)).reshape(3 * n, -1)
+        measured = _measure_rows(parts, k - 1, kind)
+        for index in sorted(measured.errors):  # part-major: a row's first part first
+            errors.setdefault(index % n, measured.errors[index])
+        first, second, collapsed = measured.signs.reshape(3, n)
+        stopped[:n] |= (first == second) & (first != 0) & (collapsed != first)
+        stopped[list(errors)] = True
+        if stopped[:n].any():
+            n = int(np.argmax(stopped)) + 1
+            errors = {row: exc for row, exc in errors.items() if row < n}
+    if not stopped[:n].any():
+        return None
+    if n - 1 in errors:
+        raise errors[n - 1]
+    return n - 1
 
 
 @dataclass(frozen=True)
@@ -114,15 +191,6 @@ class PropertyBatterySummary:
     witnesses: dict[str, list[dict]] = field(repr=False)
 
     PROPERTIES = ("monotone", "swap_antisymmetry", "conditional_invariance")
-
-
-def _values_match(before: float, after: float, scale: float) -> bool:
-    # invariance up to FP noise; both below the sign floor of ``before``'s
-    # table (magnitude ``scale``) counts as equal
-    if abs(after - before) <= 1e-9 * max(abs(before), abs(after)):
-        return True
-    floor = SIGN_TAU * scale
-    return abs(before) <= floor and abs(after) <= floor
 
 
 def property_battery(
@@ -140,7 +208,10 @@ def property_battery(
       rescalings leaves the value unchanged (up to FP noise).
 
     Failures are counted per property; up to ``witness_cap`` witnesses per
-    property record the table and the exact operation for replay.
+    property record the table and the exact operation for replay.  Trials
+    are drawn one after another and measured in blocks within the cell
+    budget; an error that measuring a trial raises is raised as a loop over
+    single trials would raise it.
     """
     kind = resolve_kind(kind)
     k = _check_count("k", k, 1, MAX_DIM)
@@ -149,49 +220,137 @@ def property_battery(
     witness_cap = _check_count("witness_cap", witness_cap)
     counts = {name: 0 for name in PropertyBatterySummary.PROPERTIES}
     witnesses: dict[str, list[dict]] = {name: [] for name in PropertyBatterySummary.PROPERTIES}
-
-    def record(name: str, payload: dict):
-        counts[name] += 1
-        if len(witnesses[name]) < witness_cap:
-            witnesses[name].append(payload)
-
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        table = random_table(k, rng)
-
-        const_value = float(np.exp(rng.uniform(-3.0, 3.0)))
-        factor = float(np.exp(rng.uniform(0.1, 1.0)))
-        bumped = table.entries.copy()
-        bumped[0] *= factor
-        value, scale = _measure(table.entries, k, kind)
-        constant_sign = thresholded_sign(*_measure(np.full(2**k, const_value), k, kind))
-        if constant_sign != 0 or not _measure(bumped, k, kind)[0] > value:
-            record("monotone", {"table": table, "constant": const_value, "factor": factor})
-
-        base_sign = thresholded_sign(value, scale)
-        for i in range(1, k + 1):
-            swapped = np.flip(table.array(), i - 1).reshape(-1)
-            if thresholded_sign(*_measure(swapped, k, kind)) != -base_sign:
-                record("swap_antisymmetry", {"table": table, "variable": i})
-                break
-
-        rescaled = table
-        ops = []
-        for _ in range(int(rng.integers(1, 4))):
-            i = int(rng.integers(1, k + 1))
-            suffix = tuple(int(j) for j in rng.integers(1, 3, size=k - 1))
-            c = float(np.exp(rng.uniform(-2.0, 2.0)))
-            rescaled = rescale_conditional_pair(rescaled, i, suffix, c)
-            ops.append({"variable": i, "suffix": suffix, "factor": c})
-        try:
-            invariant = _values_match(value, evaluate(rescaled, kind), scale)
-        except EvaluationError:
-            # rescaling drove the table outside the kind's evaluable range
-            invariant = False
-        if not invariant:
-            record("conditional_invariance", {"table": table, "rescales": ops})
-
+    size = _block_size(k)
+    for start in range(0, trials, size):
+        draws = [_battery_draws(k, np.random.default_rng((seed, trial)))
+                 for trial in range(start, min(trials, start + size))]
+        for name, entries, operation in _battery_failures(draws, k, kind):
+            counts[name] += 1
+            if len(witnesses[name]) < witness_cap:
+                witnesses[name].append({"table": BinaryTable(k, entries), **operation})
     return PropertyBatterySummary(
         kind=kind.name, k=k, trials=trials, seed=seed,
         failures=counts, witnesses=witnesses,
     )
+
+
+def _battery_draws(k: int, rng: np.random.Generator) -> tuple:
+    """One trial's table entries, constant, bump factor and rescale operations."""
+    entries = _random_entries(k, rng)
+    const_value = float(np.exp(rng.uniform(-3.0, 3.0)))
+    factor = float(np.exp(rng.uniform(0.1, 1.0)))
+    rescales = []
+    for _ in range(int(rng.integers(1, 4))):
+        i = int(rng.integers(1, k + 1))
+        suffix = tuple(int(j) for j in rng.integers(1, 3, size=k - 1))
+        c = float(np.exp(rng.uniform(-2.0, 2.0)))
+        rescales.append({"variable": i, "suffix": suffix, "factor": c})
+    return entries, const_value, factor, rescales
+
+
+def _battery_failures(draws: list, k: int, kind: AssociationKind):
+    """Yield ``(property, entries, operation)`` for each failure of a block of trials.
+
+    The trials' tables and their constant, bumped, swapped and rescaled
+    tables are measured as stacks.  Failures come in trial order, and a
+    trial whose checks raise raises the error that checking it alone would
+    raise first.
+    """
+    count, n = len(draws), 2**k
+    rows = np.stack([entries for entries, _, _, _ in draws])
+    constant_rows = np.repeat([[const_value] for _, const_value, _, _ in draws], n, axis=1)
+    bumped_rows = rows.copy()
+    bumped_rows[:, 0] *= [factor for _, _, factor, _ in draws]
+    rescaled_rows = rows.copy()
+    for row, (_, _, _, rescales) in zip(rescaled_rows, draws):
+        for op in rescales:
+            i, suffix = op["variable"], op["suffix"]
+            first = cell_to_index(suffix[: i - 1] + (1,) + suffix[i - 1 :])
+            row[[first, first | 1 << (k - i)]] *= op["factor"]  # as rescale_conditional_pair
+    base = _measure_rows(rows, k, kind)
+    constant = _measure_rows(constant_rows, k, kind)
+    bumped = _measure_rows(bumped_rows, k, kind)
+    rescaled = _measure_rows(rescaled_rows, k, kind)
+    arr = rows.reshape((count,) + (2,) * k)
+    swaps = [_measure_rows(np.flip(arr, axis).reshape(count, n), k, kind)
+             for axis in range(1, k + 1)]
+    monotone = (constant.signs != 0) | ~_rises(base, bumped, rows, bumped_rows, k, kind)
+    unflipped = np.array([swap.signs for swap in swaps]) != -base.signs
+    variable = np.argmax(unflipped, axis=0) + 1  # the first swap that does not flip
+    invariant = _matches(base, rescaled, rows, rescaled_rows, k, kind)
+    invariant[list(rescaled.errors)] = False  # rescaled out of the kind's evaluable range
+    erred = np.zeros(count, dtype=bool)
+    for measured in (base, constant, bumped, rescaled, *swaps):
+        erred[list(measured.errors)] = True
+    irregular = monotone | unflipped.any(axis=0) | ~invariant | erred
+    for j in np.flatnonzero(irregular).tolist():
+        if erred[j]:
+            error = _trial_error(j, base, constant, bumped, swaps, rescaled)
+            if error is not None:
+                raise error
+        entries, const_value, factor, rescales = draws[j]
+        if monotone[j]:
+            yield "monotone", entries, {"constant": const_value, "factor": factor}
+        if unflipped[:, j].any():
+            yield "swap_antisymmetry", entries, {"variable": int(variable[j])}
+        if not invariant[j]:
+            yield "conditional_invariance", entries, {"rescales": rescales}
+
+
+def _trial_error(j: int, base: _Rows, constant: _Rows, bumped: _Rows, swaps: list,
+                 rescaled: _Rows) -> Optional[Exception]:
+    """The error that checking trial ``j`` alone raises first, or None.
+
+    The checks measure the table, the constant table, the bumped table
+    (only when the constant one has sign 0), the swaps up to the first that
+    does not flip, then the rescaled table, whose EvaluationError is a
+    failed check rather than an error.
+    """
+    for measured in (base, constant):
+        if j in measured.errors:
+            return measured.errors[j]
+    if constant.signs[j] == 0 and j in bumped.errors:
+        return bumped.errors[j]
+    for swap in swaps:
+        if j in swap.errors:
+            return swap.errors[j]
+        if swap.signs[j] != -base.signs[j]:
+            break
+    error = rescaled.errors.get(j)
+    return None if isinstance(error, EvaluationError) else error
+
+
+def _rises(base: _Rows, bumped: _Rows, rows, bumped_rows, k: int, kind) -> np.ndarray:
+    """Whether each bumped value exceeds its base value as ``_measure`` values compare."""
+    gap = bumped.values - base.values
+    unsure = np.flatnonzero(np.abs(gap) <= 2.0 * (base.bounds + bumped.bounds))
+    _settle(base, rows, k, kind, unsure)
+    _settle(bumped, bumped_rows, k, kind, unsure)
+    return bumped.values > base.values
+
+
+def _matches(base: _Rows, rescaled: _Rows, rows, rescaled_rows, k: int, kind) -> np.ndarray:
+    """Invariance up to FP noise, as ``_measure`` values compare.
+
+    A rescaled value matches when it is within 1e-9 of the larger of the two
+    values, or when both lie below the sign floor of the base table.  Rows
+    where the bounds cannot settle a comparison are measured exactly first.
+    """
+    def compare():
+        before, after = base.values, rescaled.values
+        drift = np.abs(after - before)
+        tolerance = 1e-9 * np.maximum(np.abs(before), np.abs(after))
+        floor = SIGN_TAU * base.scales
+        return drift, tolerance, floor, np.abs(before), np.abs(after)
+
+    drift, tolerance, floor, before, after = compare()
+    error = 2.0 * (base.bounds + rescaled.bounds)
+    unsure = np.flatnonzero(
+        (np.abs(tolerance - drift) <= error)
+        | (np.abs(floor - before) <= error)
+        | (np.abs(floor - after) <= error)
+    )
+    _settle(base, rows, k, kind, unsure)
+    _settle(rescaled, rescaled_rows, k, kind, unsure)
+    drift, tolerance, floor, before, after = compare()
+    return (drift <= tolerance) | ((before <= floor) & (after <= floor))

@@ -17,6 +17,10 @@ arithmetic, the kind ``LOR`` by a continuity convention when zeros appear
 class; zeros in both classes leave the sign undefined and raise), all other
 kinds on the empirical proportions.  Kinds are matched by equality, name
 and ``h`` alike, so a kind that only borrows a name takes the general path.
+Each chunk of count rows is signed as one stack: the zero rule is
+vectorized and the rest goes through the batched kernel of ``assoc``, whose
+signs are those of the scalar one.  A sample whose sign is undefined aborts
+the study with the error of the first such row.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 
 import numpy as np
 
-from .assoc import DI, LOR, AssociationKind, _measure, resolve_kind, thresholded_sign
+from .assoc import DI, LOR, AssociationKind, _measure_rows, resolve_kind
 from .errors import EvaluationError
 from .table import MAX_DIM, BinaryTable, _check_count, _check_real, parity_signs
 
@@ -110,19 +114,33 @@ def _multinomial_rows(rng: np.random.Generator, probs: np.ndarray, N: int,
     return counts
 
 
-def _sample_sign(counts: np.ndarray, k: int, kind: AssociationKind) -> int:
-    """Sign of ``kind`` on one sampled count vector (zeros permitted)."""
+def _sample_sign(counts: np.ndarray, k: int, kind: AssociationKind) -> np.ndarray:
+    """Sign of ``kind`` on each sampled count vector of ``(..., 2**k)`` (zeros permitted).
+
+    DI is signed in integer arithmetic and LOR by its zero-cell rule; the
+    rest are measured on the empirical proportions as one stack.  Raises
+    the error of the first vector, in row order, whose sign is undefined.
+    """
+    if kind == DI:
+        return np.sign(counts @ parity_signs(k).astype(np.int64))
+    rows = counts.reshape(-1, 2**k)
+    signs = np.zeros(len(rows), dtype=np.int8)
+    free = np.ones(len(rows), dtype=bool)
     if kind == LOR:
         even = parity_signs(k) > 0
-        zero_even = bool((counts[even] == 0).any())
-        zero_odd = bool((counts[~even] == 0).any())
-        if zero_even and zero_odd:
+        zero_even = (rows[:, even] == 0).any(axis=1)
+        zero_odd = (rows[:, ~even] == 0).any(axis=1)
+        if (zero_even & zero_odd).any():
             raise EvaluationError("empty cells in both parity classes: LOR sign undefined")
-        if zero_odd:
-            return 1
-        if zero_even:
-            return -1
-    return thresholded_sign(*_measure(counts / counts.sum(), k, kind))
+        signs[zero_odd] = 1
+        signs[zero_even] = -1
+        free = ~(zero_even | zero_odd)
+    rows = rows[free]
+    measured = _measure_rows(rows / rows.sum(axis=1, keepdims=True), k, kind)
+    if measured.errors:
+        raise measured.errors[min(measured.errors)]
+    signs[free] = measured.signs
+    return signs.reshape(counts.shape[:-1])
 
 
 def simulate_decisions(
@@ -145,8 +163,6 @@ def simulate_decisions(
     seed = _check_count("seed", seed)
     probs = true_table.entries / true_table.entries.sum()
     k = true_table.k
-    is_di = kind == DI
-    signs_vec = parity_signs(k).astype(np.int64)
 
     tally = {1: 0, 0: 0, -1: 0}
     done = 0
@@ -154,15 +170,9 @@ def simulate_decisions(
     while done < replications:
         rows = min(CHUNK, replications - done)
         rng = np.random.default_rng((seed, chunk_index))
-        counts = _multinomial_rows(rng, probs, N, rows)
-        if is_di:
-            values = counts @ signs_vec
-            tally[1] += int((values > 0).sum())
-            tally[0] += int((values == 0).sum())
-            tally[-1] += int((values < 0).sum())
-        else:
-            for row in counts:
-                tally[_sample_sign(row, k, kind)] += 1
+        signs = _sample_sign(_multinomial_rows(rng, probs, N, rows), k, kind)
+        for s in tally:
+            tally[s] += int(np.count_nonzero(signs == s))
         done += rows
         chunk_index += 1
     return {SIGN_LABELS[s]: tally[s] / replications for s in (1, 0, -1)}

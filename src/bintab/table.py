@@ -39,9 +39,18 @@ Cell = tuple[int, ...]
 MAX_DIM = 20
 
 
+def _components(cell: Sequence[int]) -> Cell:
+    """The components of ``cell`` as a tuple, each checked to be 1 or 2."""
+    try:
+        items = tuple(cell)
+    except TypeError:
+        raise InvalidTableError(f"cell must be a sequence of 1's and 2's, got {cell!r}") from None
+    return tuple(_check_count("cell component", j, 1, 2) for j in items)
+
+
 def validate_cell(cell: Sequence[int], k: int) -> Cell:
     """Check that ``cell`` is a length-k sequence of 1's and 2's; return it as a tuple."""
-    t = tuple(_check_count("cell component", j, 1, 2) for j in cell)
+    t = _components(cell)
     if len(t) != k:
         raise InvalidTableError(f"cell {t} has length {len(t)}, expected {k}")
     return t
@@ -50,13 +59,14 @@ def validate_cell(cell: Sequence[int], k: int) -> Cell:
 def cell_to_index(cell: Sequence[int]) -> int:
     """Linear index of a cell (variable 1 most significant)."""
     idx = 0
-    for j in cell:
-        idx = (idx << 1) | (_check_count("cell component", j, 1, 2) - 1)
+    for j in _components(cell):
+        idx = (idx << 1) | (j - 1)
     return idx
 
 
 def index_to_cell(index: int, k: int) -> Cell:
     """Inverse of :func:`cell_to_index`."""
+    k = _check_count("k", k, 0, MAX_DIM)
     index = _check_count("index", index, 0, 2**k - 1)
     return tuple(((index >> (k - 1 - i)) & 1) + 1 for i in range(k))
 
@@ -117,13 +127,18 @@ def _check_real(name: str, value: float, low: float, high: float = math.inf) -> 
     raise InvalidTableError(f"{name} must be a number in ({low}, {high}), got {value!r}")
 
 
+def _numbers(values, noun: str) -> np.ndarray:
+    """``values`` as a numpy array of any shape, or InvalidTableError when numpy refuses them."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidTableError(f"{noun} must be numbers: {exc}") from None
+
+
 def _frozen_vector(k: int, values, noun: str) -> tuple[int, np.ndarray]:
     """Check k and ``2**k`` finite float64 ``values``; return k and a read-only copy."""
     k = _check_count("k", k, 0, MAX_DIM)
-    try:
-        arr = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidTableError(f"{noun} must be numbers: {exc}") from None
+    arr = _numbers(values, noun)
     if arr.shape != (2**k,):
         raise InvalidTableError(f"expected {2**k} {noun} for k={k}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -157,7 +172,7 @@ class BinaryTable:
     @classmethod
     def from_entries(cls, entries: Sequence[float], k: int | None = None) -> "BinaryTable":
         """Build from a flat entry sequence; infer k from the length when omitted."""
-        arr = np.asarray(entries).reshape(-1)
+        arr = _numbers(entries, "entries").reshape(-1)
         if k is None:
             n = arr.size
             k = max(n - 1, 0).bit_length()
@@ -168,14 +183,16 @@ class BinaryTable:
     @classmethod
     def from_array(cls, array) -> "BinaryTable":
         """Build from an array of shape ``(2,) * k``."""
-        arr = np.asarray(array)
+        arr = _numbers(array, "entries")
         if arr.shape != (2,) * arr.ndim:
             raise InvalidTableError(f"expected shape (2,)*k, got {arr.shape}")
         return cls(arr.ndim, arr.reshape(-1))
 
     @classmethod
     def constant(cls, k: int, value: float) -> "BinaryTable":
-        return cls(k, np.full(2**k, float(value)))
+        """The table with every one of its ``2**k`` entries equal to ``value`` > 0."""
+        k = _check_count("k", k, 0, MAX_DIM)  # before 2^k entries are allocated
+        return cls(k, np.full(2**k, _check_real("value", value, 0)))
 
     def array(self) -> np.ndarray:
         """Read-only view of shape ``(2,) * k``."""

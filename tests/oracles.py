@@ -4,15 +4,33 @@
 defining formulas directly and share no code path with the library's
 butterfly, marginal-lattice or one-pass contrast kernels.
 ``additivity_sign_check`` and ``conditional_equal`` state the DI additivity
-and conditional-invariance properties the tests assert.  All of them call
-public library names only.
+and conditional-invariance properties the tests assert.  ``scalar_search``
+and ``scalar_battery`` run the seeded search and property battery one
+trial and one table at a time, the reference for the library's blocked
+loops.  All of them call public library names only.
 """
 
 import math
 
 import numpy as np
 
-from bintab import BinaryTable, InvalidTableError, di, lor, marginal, sign, slice_table
+from bintab import (
+    SIGN_TAU,
+    BinaryTable,
+    EvaluationError,
+    InvalidTableError,
+    di,
+    evaluate,
+    lor,
+    magnitude_scale,
+    marginal,
+    random_table,
+    rescale_conditional_pair,
+    sign,
+    simpson_scan,
+    slice_table,
+    swap_category,
+)
 
 
 def sign_matrix(k: int) -> np.ndarray:
@@ -82,3 +100,60 @@ def conditional_equal(p: BinaryTable, q: BinaryTable, i: int, tol: float = 1e-9)
     rp = ap[0] / (ap[0] + ap[1])
     rq = aq[0] / (aq[0] + aq[1])
     return bool(np.all(np.abs(rp - rq) <= tol * np.maximum(rp, rq)))
+
+
+def scalar_search(kind, k: int, trials: int, seed: int):
+    """First keyed table whose ``simpson_scan`` shows a reversal, or None."""
+    for trial in range(trials):
+        table = random_table(k, np.random.default_rng((seed, trial)))
+        if any(report.paradox for report in simpson_scan(table, [kind])):
+            return table
+    return None
+
+
+def scalar_battery(kind, k: int, trials: int, seed: int, witness_cap: int = 10):
+    """``(failures, witnesses)`` of ``property_battery``, one table at a time."""
+    names = ("monotone", "swap_antisymmetry", "conditional_invariance")
+    failures = {name: 0 for name in names}
+    witnesses = {name: [] for name in names}
+
+    def record(name, payload):
+        failures[name] += 1
+        if len(witnesses[name]) < witness_cap:
+            witnesses[name].append(payload)
+
+    for trial in range(trials):
+        rng = np.random.default_rng((seed, trial))
+        table = random_table(k, rng)
+        const_value = float(np.exp(rng.uniform(-3.0, 3.0)))
+        factor = float(np.exp(rng.uniform(0.1, 1.0)))
+        value, scale = evaluate(table, kind), magnitude_scale(table, kind)
+        bumped = table.entries.copy()
+        bumped[0] *= factor
+        if (sign(BinaryTable.constant(k, const_value), kind) != 0
+                or not evaluate(BinaryTable(k, bumped), kind) > value):
+            record("monotone", {"table": table, "constant": const_value, "factor": factor})
+        base_sign = sign(table, kind)
+        for i in range(1, k + 1):
+            if sign(swap_category(table, i), kind) != -base_sign:
+                record("swap_antisymmetry", {"table": table, "variable": i})
+                break
+        rescaled, ops = table, []
+        for _ in range(int(rng.integers(1, 4))):
+            i = int(rng.integers(1, k + 1))
+            suffix = tuple(int(j) for j in rng.integers(1, 3, size=k - 1))
+            c = float(np.exp(rng.uniform(-2.0, 2.0)))
+            rescaled = rescale_conditional_pair(rescaled, i, suffix, c)
+            ops.append({"variable": i, "suffix": suffix, "factor": c})
+        try:
+            after = evaluate(rescaled, kind)
+        except EvaluationError:
+            after = None
+        # equal up to FP noise, or both below the sign floor of the table
+        floor = SIGN_TAU * scale
+        if after is None or not (
+            abs(after - value) <= 1e-9 * max(abs(value), abs(after))
+            or (abs(value) <= floor and abs(after) <= floor)
+        ):
+            record("conditional_invariance", {"table": table, "rescales": ops})
+    return failures, witnesses

@@ -37,6 +37,7 @@ from bintab import (
     swap_category,
     thresholded_sign,
 )
+from bintab.assoc import SIGN_TAU, _measure_rows
 from oracles import recursive_contrast
 
 # k=3 distributions: one cell heavy vs. near-degenerate corner
@@ -216,3 +217,74 @@ class TestOnePassPerTable:
             want = collapse_check(t, LOR, i)
             assert (report.values, report.layer_signs, report.collapsed_sign) == (
                 want.values, want.layer_signs, want.collapsed_sign)
+
+
+def _near_threshold_rows(kind, k=2, seed=None):
+    """Rows whose value lies within a few ulps of ``SIGN_TAU`` times their scale.
+
+    Entry 0 steps one ulp at a time through the point where the value
+    crosses the sign threshold, so the rows straddle it.  Without a seed the
+    other entries are all equal; with one they are random.
+    """
+    h, h_inverse = {"lor": (math.log, math.exp), "di": (float, float),
+                    "ex": (math.exp, math.log)}[kind.name]
+    rest = (np.full(2**k - 1, 2.0) if seed is None
+            else random_table(k, np.random.default_rng(seed)).entries[1:])
+    signs = np.where(np.bitwise_count(np.arange(1, 2**k)) % 2 == 0, 1.0, -1.0)
+    terms = np.array([h(x) for x in rest])
+    # h(x0) + sum(signs * terms) = SIGN_TAU * (h(x0) + sum(|terms|)), for h(x0) > 0
+    x0 = h_inverse((SIGN_TAU * np.abs(terms).sum() - signs @ terms) / (1.0 - SIGN_TAU))
+    steps = [x0]
+    for _ in range(40):
+        steps.append(np.nextafter(steps[-1], np.inf))
+        steps.insert(0, np.nextafter(steps[0], -np.inf))
+    return np.array([np.concatenate(([x], rest)) for x in steps])
+
+
+class TestMeasureRows:
+    """The batched kernel gives ``_measure``'s signs on every row."""
+
+    @pytest.mark.parametrize("kind", [LOR, DI, EX], ids=lambda kind: kind.name)
+    # seeds whose random entries leave h(x0) > 0 at the crossing, for all three kinds
+    @pytest.mark.parametrize("k, seed", [(2, None), (3, 2), (4, 7), (5, 9)])
+    def test_near_threshold_rows_fall_back_to_measure(self, kind, k, seed):
+        rows = _near_threshold_rows(kind, k, seed)
+        got = _measure_rows(rows, k, kind)
+        want = [sign(BinaryTable(k, row), kind) for row in rows]
+        assert sorted(set(want)) == [0, 1]  # the rows straddle the threshold
+        assert got.signs.tolist() == want
+        assert not got.bounds.any()  # each one measured by math.fsum
+        assert got.values.tolist() == [evaluate(BinaryTable(k, row), kind) for row in rows]
+
+    @pytest.mark.parametrize("kind", [LOR, DI, EX], ids=lambda kind: kind.name)
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_random_rows_within_their_bounds(self, kind, k):
+        rng = np.random.default_rng(k)
+        rows = np.stack([random_table(k, rng).entries for _ in range(200)])
+        got = _measure_rows(rows, k, kind)
+        tables = [BinaryTable(k, row) for row in rows]
+        assert got.signs.tolist() == [sign(t, kind) for t in tables]
+        assert np.all(np.abs(got.values - [evaluate(t, kind) for t in tables]) <= got.bounds)
+        assert np.all(np.abs(got.scales - [magnitude_scale(t, kind) for t in tables]) <= got.bounds)
+        assert not got.errors
+
+    def test_errors_are_kept_per_row(self):
+        rows = np.array([[1.0, 2.0, 3.0, 4.0], [800.0, 1.0, 1.0, 1.0], [1.0, 1.0, 900.0, 1.0]])
+        got = _measure_rows(rows, 2, EX)
+        assert sorted(got.errors) == [1, 2]
+        with pytest.raises(EvaluationError) as want:
+            evaluate(BinaryTable(2, rows[1]), EX)
+        assert type(got.errors[1]) is EvaluationError
+        assert str(got.errors[1]) == str(want.value)
+        assert got.signs[0] == sign(BinaryTable(2, rows[0]), EX)
+
+    @pytest.mark.parametrize("kind", [
+        BAHADUR, ContrastKind("lor", math.sqrt), AggregateContrastKind("log", math.log),
+    ], ids=["bahadur", "look-alike", "aggregate"])
+    def test_other_kinds_measured_row_by_row(self, kind):
+        rng = np.random.default_rng(3)
+        rows = np.stack([random_table(3, rng).entries for _ in range(20)])
+        got = _measure_rows(rows, 3, kind)
+        assert not got.bounds.any()
+        assert got.values.tolist() == [evaluate(BinaryTable(3, row), kind) for row in rows]
+        assert got.signs.tolist() == [sign(BinaryTable(3, row), kind) for row in rows]

@@ -1,15 +1,20 @@
 """Simpson's paradox detection, DI additivity, the property battery and seed checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bintab import (
+    BAHADUR,
     DI,
     EX,
     LOR,
+    AggregateContrastKind,
     BinaryTable,
+    BintabError,
+    ContrastKind,
     InvalidTableError,
     collapse_check,
     evaluate,
@@ -21,7 +26,7 @@ from bintab import (
     simulate_decisions,
 )
 from bintab.collapsibility import PropertyBatterySummary
-from oracles import additivity_sign_check
+from oracles import additivity_sign_check, scalar_battery, scalar_search
 
 # three binary variables; collapsing over the third reverses EX but not LOR
 STACK = BinaryTable.from_entries([6, 5, 5, 7, 3, 1, 3, 7])
@@ -236,3 +241,125 @@ def test_zero_trials_is_an_empty_budget():
     s = BUDGETED_RUNS["property_battery"](0)
     assert s.trials == 0
     assert s.failures == {name: 0 for name in PropertyBatterySummary.PROPERTIES}
+
+
+def unlucky_log(x):
+    """``log``, except on two narrow bands of entries, where it fails."""
+    if 30.0 < x < 30.6 or 47.0 < x < 48.0:
+        raise ValueError(f"unlucky entry {x!r}")
+    return math.log(x)
+
+
+def fragile_log(x):
+    """``log``, except on a band that many collapsed entries fall in."""
+    if 24.0 < x < 36.0:
+        raise ValueError(f"fragile entry {x!r}")
+    return math.log(x)
+
+
+# the vectorized kinds, kinds measured row by row (a custom h, a kind that
+# only borrows LOR's name, an aggregate, Bahadur), a custom h that raises on
+# a few collapsed or bumped entries and one that raises on many, so a
+# trial's scan often meets several errors
+ORACLE_KINDS = {
+    "lor": LOR, "di": DI, "ex": EX, "bahadur": BAHADUR,
+    "sqrt": ContrastKind("sqrt", math.sqrt),
+    "lor-look-alike": ContrastKind("lor", math.sqrt),
+    "aggregate": AggregateContrastKind("log-totals", math.log),
+    "unlucky": ContrastKind("unlucky", unlucky_log),
+    "fragile": ContrastKind("fragile", fragile_log),
+}
+
+
+def outcome(call):
+    """``repr`` of the result, or the type and message of the typed error raised."""
+    try:
+        return repr(call())
+    except BintabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestBlockedLoopsMatchScalarOracle:
+    """The blocked search and battery return what one trial at a time returns."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("name", sorted(ORACLE_KINDS))
+    def test_search(self, name, k):
+        kind = ORACLE_KINDS[name]
+        for seed in (0, 1, 7):
+            got = outcome(lambda: paradox_search(kind, k, 60, seed))
+            assert got == outcome(lambda: scalar_search(kind, k, 60, seed)), (name, k, seed)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("name", sorted(ORACLE_KINDS))
+    def test_battery(self, name, k):
+        kind = ORACLE_KINDS[name]
+        for seed in (0, 3):
+            def blocked():
+                s = property_battery(kind, k, 40, seed, witness_cap=3)
+                return s.failures, s.witnesses
+            got = outcome(blocked)
+            assert got == outcome(lambda: scalar_battery(kind, k, 40, seed, 3)), (name, k, seed)
+
+    # at large k the error bounds are wide enough that some invariance
+    # (LOR, EX at k=10) and monotonicity (EX at k=12) comparisons fall back
+    @pytest.mark.parametrize("kind, k", [(LOR, 12), (EX, 10), (EX, 12)],
+                             ids=["lor-12", "ex-10", "ex-12"])
+    def test_battery_comparisons_the_bounds_cannot_settle(self, kind, k):
+        s = property_battery(kind, k, 4, 1)
+        assert repr((s.failures, s.witnesses)) == repr(scalar_battery(kind, k, 4, 1))
+
+    def test_oracle_corpus_has_witnesses_and_errors(self):
+        # the comparisons above cover a witness found before a later trial's
+        # error, an error before any witness, and failures in every property
+        unlucky = ORACLE_KINDS["unlucky"]
+        assert paradox_search(unlucky, 3, 60, 0) is not None
+        with pytest.raises(BintabError, match="unlucky entry"):
+            paradox_search(unlucky, 2, 60, 0)
+        with pytest.raises(BintabError, match="unlucky entry"):
+            property_battery(unlucky, 5, 40, 0)
+        s = property_battery(BAHADUR, 3, 40, 0)
+        assert s.failures["monotone"] > 0 and s.failures["conditional_invariance"] > 0
+        with pytest.raises(InvalidTableError, match="bahadur requires k >= 2"):
+            paradox_search(BAHADUR, 2, 60, 0)
+
+    @pytest.mark.parametrize("trials", [0, 1, 7, 8, 9, 23, 24, 25])
+    def test_search_stops_at_its_budget(self, trials):
+        # blocks of 8, 16, 32, ... trials, cut at the budget
+        assert outcome(lambda: paradox_search(DI, 3, trials, 2)) == "None"
+        assert outcome(lambda: paradox_search(LOR, 3, trials, 0)) == outcome(
+            lambda: scalar_search(LOR, 3, trials, 0))
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBound:
+    """Blocked loops hold one block of trials at a time, whatever ``trials`` is."""
+
+    def test_battery_memory_does_not_grow_with_trials(self):
+        # at k=10 a block holds 8 trials, so 640 trials are 80 blocks
+        few = _peak_bytes(lambda: property_battery(LOR, 10, 64, 0))
+        many = _peak_bytes(lambda: property_battery(LOR, 10, 640, 0))
+        assert many < 1.5 * few + 2**18
+        assert many < 2**21
+
+    def test_search_memory_does_not_grow_with_trials(self):
+        few = _peak_bytes(lambda: paradox_search(DI, 10, 64, 0))
+        many = _peak_bytes(lambda: paradox_search(DI, 10, 640, 0))
+        assert many < 1.5 * few + 2**18
+        assert many < 2**21
+
+    @pytest.mark.parametrize("run", [
+        lambda: paradox_search(DI, 16, 2, 0),
+        lambda: property_battery(LOR, 16, 2, 0),
+    ], ids=["search", "battery"])
+    def test_large_k_stays_small(self, run):
+        # one k=16 table is 512 KiB; a block is one trial
+        assert _peak_bytes(run) < 2**23

@@ -423,8 +423,10 @@ class TestCliPower:
         assert code == 2
 
     def test_bad_mass_exits_input(self, capsys):
-        code, _ = run_cli(capsys, "power", "--N", "100", "--p", "1.5")
+        code, out = run_cli(capsys, "power", "--N", "100", "--p", "1.5")
         assert code == 2
+        error = json.loads(out)["error"]
+        assert error["message"] == "--p must be a number in (0, 1), got 1.5"
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from bintab import (
     even_parity_mass,
     prob_di_positive_exact,
     prob_di_positive_normal,
+    sign,
     simulate_decisions,
     table_with_even_mass,
 )
@@ -132,6 +133,45 @@ class TestSampleSign:
             counts = rng.integers(0, 30, size=4)
             want = int(np.sign(counts[0] - counts[1] - counts[2] + counts[3]))
             assert _sample_sign(counts, 2, DI) == want
+
+    @pytest.mark.parametrize("kind", [LOR, EX, DI, BAHADUR, ContrastKind("lor", math.sqrt)],
+                             ids=["lor", "ex", "di", "bahadur", "look-alike"])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_stack_matches_row_by_row(self, kind, k):
+        rng = np.random.default_rng(k)
+        counts = rng.integers(0, 12, size=(300, 2**k))
+        even = np.bitwise_count(np.arange(2**k)) % 2 == 0
+        # zeros stay where a rule signs them: DI's integers, LOR's odd class
+        if kind != DI:
+            counts[:, even if kind == LOR else slice(None)] += 1
+        want = []
+        for row in counts:
+            if kind == DI:
+                want.append(int(np.sign(row[even].sum() - row[~even].sum())))
+            elif (row == 0).any():
+                want.append(1)  # LOR with an empty odd cell
+            else:
+                want.append(sign(BinaryTable(k, row / row.sum()), kind))
+        got = _sample_sign(counts, k, kind)
+        assert got.shape == (300,)
+        assert got.tolist() == want
+
+    def test_first_undefined_row_raises(self):
+        rows = np.array([[5, 1, 3, 2], [4, 0, 3, 2], [0, 0, 3, 2], [0, 5, 3, 0]])
+        with pytest.raises(EvaluationError, match="empty cells in both parity classes"):
+            _sample_sign(rows, 2, LOR)
+        # a custom h fails on small proportions; the first row it fails on decides
+        def h(x):
+            if x < 0.05:
+                raise ValueError(f"proportion {x!r}")
+            return x
+
+        fussy = ContrastKind("fussy", h)
+        with pytest.raises(EvaluationError, match=r"proportion 0\.0$"):
+            _sample_sign(rows, 2, fussy)
+        rows[1] = [40, 4, 30, 26]
+        with pytest.raises(EvaluationError, match=r"proportion 0\.04$"):
+            _sample_sign(rows, 2, fussy)
 
     def test_large_counts_do_not_overflow_ex(self):
         counts = np.array([600, 200, 150, 50])

@@ -155,6 +155,7 @@ T2 = BinaryTable.from_entries([2, 3, 4, 5])
 # low, high); high is None where the argument has no upper bound
 INTEGER_ARGUMENTS = {
     "BinaryTable-k": (lambda v: BinaryTable(v, np.ones(4)), 2, 0, MAX_DIM),
+    "BinaryTable.constant-k": (lambda v: BinaryTable.constant(v, 1.0), 2, 0, MAX_DIM),
     "ParamSet-k": (lambda v: ParamSet(v, "di", np.ones(4)), 2, 0, MAX_DIM),
     "random_table-k": (lambda v: random_table(v, np.random.default_rng(0)), 2, 0, MAX_DIM),
     "paradox_search-k": (lambda v: paradox_search(LOR, v, 3, 0), 3, 2, MAX_DIM),
@@ -193,6 +194,7 @@ INTEGER_ARGUMENTS = {
     "parity-cell component": (lambda v: parity((1, v)), 2, 1, 2),
     "marginal-mask": (lambda v: marginal(T2, v), 2, 0, 3),
     "index_to_cell-index": (lambda v: index_to_cell(v, 2), 3, 0, 3),
+    "index_to_cell-k": (lambda v: index_to_cell(0, v), 2, 0, MAX_DIM),
 }
 
 
@@ -228,6 +230,7 @@ REAL_ARGUMENTS = {
     "table_with_even_mass-p_even": (lambda v: table_with_even_mass(2, v), 0.6, 0, 1),
     "rescale_conditional_pair-c": (
         lambda v: rescale_conditional_pair(T2, 1, (2,), v), 2.0, 0, math.inf),
+    "BinaryTable.constant-value": (lambda v: BinaryTable.constant(2, v), 2.0, 0, math.inf),
     "lor_inverse-tol": (
         lambda v: lor_inverse(ParamSet(2, "lor", np.zeros(4)), tol=v), 1e-8, 0, math.inf),
 }
@@ -250,6 +253,35 @@ class TestRealContract:
     def test_numpy_float_accepted(self, row):
         call, valid, _, _ = REAL_ARGUMENTS[row]
         assert repr(call(np.float64(valid))) == repr(call(valid))
+
+
+RAGGED = [[1.0, 2.0], [3.0]]
+NOT_A_CELL = "cell must be a sequence of 1's and 2's, got 5"
+
+# (entry point, sequence argument) -> (call with a value that numpy or
+# iteration refuses, the start of the message)
+SEQUENCE_ARGUMENTS = {
+    "BinaryTable-entries": (lambda: BinaryTable(2, RAGGED), "entries must be numbers"),
+    "from_entries-entries": (lambda: BinaryTable.from_entries(RAGGED), "entries must be numbers"),
+    "from_array-array": (lambda: BinaryTable.from_array(RAGGED), "entries must be numbers"),
+    "ParamSet-values": (lambda: ParamSet(1, "di", RAGGED), "parameter values must be numbers"),
+    "BinaryTable.__getitem__-cell": (lambda: T2[5], NOT_A_CELL),
+    "validate_cell-cell": (lambda: validate_cell(5, 2), NOT_A_CELL),
+    "cell_to_index-cell": (lambda: cell_to_index(5), NOT_A_CELL),
+    "parity-cell": (lambda: parity(5), NOT_A_CELL),
+    "rescale_conditional_pair-suffix": (
+        lambda: rescale_conditional_pair(T2, 1, 5, 2.0), NOT_A_CELL),
+}
+
+
+class TestSequenceContract:
+    """Every sequence argument: a typed error where numpy or iteration refuses it."""
+
+    @pytest.mark.parametrize("row", sorted(SEQUENCE_ARGUMENTS))
+    def test_refused_values_are_typed_errors(self, row):
+        call, message = SEQUENCE_ARGUMENTS[row]
+        with pytest.raises(InvalidTableError, match="^" + re.escape(message)):
+            call()
 
 
 T3 = BinaryTable.from_entries([6, 5, 5, 7, 3, 1, 3, 7])
