@@ -28,12 +28,14 @@ catastrophically (parity sums of exponentials of similar magnitude).
 
 The loops over many tables (searches, batteries, Monte Carlo signs) use
 ``_measure_rows``, which measures a whole stack of entry rows at once.  For
-LOR, DI and EX it applies ``np.log``, the identity or ``np.exp`` to the stack
-and sums in floating point, with a bound on the distance from the
-``math.fsum`` result; the rows that bound cannot settle (a value within it of
-the sign threshold, a non-finite sum) and every row of any other kind are
-measured by ``_measure``.  Signs, and every comparison made with the bound,
-are therefore the ones ``_measure`` gives.
+LOR, DI and EX it applies ``np.log``, the identity or ``np.exp`` to the stack;
+for Bahadur it forms the products of the whole stack with ``_bahadur_z``, the
+kernel ``_measure`` runs on one row.  It sums in floating point, with a bound
+on the distance from the ``math.fsum`` result; the rows that bound cannot
+settle (a value within it of the sign threshold, a non-finite sum, a
+degenerate Bahadur marginal) and every row of the aggregate and custom-``h``
+kinds are measured by ``_measure``.  Signs, and every comparison made with
+the bound, are therefore the ones ``_measure`` gives.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import BintabError, EvaluationError, InvalidTableError
-from .table import BinaryTable, parity_signs
+from .table import BinaryTable, _finite_totals, parity_signs
 
 #: Relative threshold below which a parameter value reports sign 0.
 SIGN_TAU = 1e-9
@@ -150,19 +152,30 @@ def aggregate_contrast(table: BinaryTable, d: Callable[[float], float]) -> float
     return _measure(table.entries, table.k, AggregateContrastKind("aggregate", d))[0]
 
 
-def _bahadur_z(entries: np.ndarray, k: int) -> np.ndarray:
-    """Per-cell product of standardized indicator factors (normalized weights)."""
-    arr = (entries / entries.sum()).reshape((2,) * k)
+def _bahadur_z(entries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell products of standardized indicator factors, for each row of ``(..., 2**k)``.
+
+    Each row is normalized to sum 1 (scaled first by ``_finite_totals``).
+    Returns the products, shaped like ``entries``, and the ``(k, ...)``
+    category-1 marginals ``mu``; a row with a marginal outside (0, 1) has a
+    zero or NaN ``sigma`` and so NaN products.  One row or a stack, the
+    arithmetic of each row is the same, bit for bit.
+    """
+    entries = _finite_totals(entries)
+    lead = entries.shape[:-1]
+    arr = (entries / entries.sum(axis=-1, keepdims=True)).reshape(lead + (2,) * k)
     z = np.ones_like(arr)
-    for axis in range(k):
-        shape = [1] * k
-        shape[axis] = 2
-        mu = float(arr.sum(axis=tuple(a for a in range(k) if a != axis))[0])
-        if not 0.0 < mu < 1.0:
-            raise EvaluationError(f"degenerate marginal for variable {axis + 1}: mu={mu}")
-        sigma = math.sqrt(mu * (1.0 - mu))
-        z = z * (np.array([1.0 - mu, -mu]).reshape(shape) / sigma)
-    return arr * z
+    mus = []
+    with np.errstate(all="ignore"):
+        for axis in range(k):
+            # the marginal as a sum over the other axes, then its first category:
+            # the same reduction for one row and for a stack
+            mu = arr.sum(axis=tuple(len(lead) + a for a in range(k) if a != axis))[..., 0]
+            sigma = np.sqrt(mu * (1.0 - mu))
+            factor = np.stack(((1.0 - mu) / sigma, -mu / sigma), axis=-1)
+            z = z * factor.reshape(lead + tuple(2 if a == axis else 1 for a in range(k)))
+            mus.append(mu)
+        return (arr * z).reshape(entries.shape), np.array(mus)
 
 
 def bahadur(table: BinaryTable) -> float:
@@ -177,8 +190,9 @@ def bahadur(table: BinaryTable) -> float:
 def _measure(entries: np.ndarray, k: int, kind: AssociationKind) -> tuple[float, float]:
     """Value of ``kind`` on an entry vector and its magnitude scale, from one pass.
 
-    The scale is the sum of the absolute summands entering the value.  No
-    other function branches on the kind to compute a value; callers resolve it first.
+    The scale is the sum of the absolute summands entering the value.  Apart
+    from the batched ``_measure_rows``, no other function branches on the
+    kind to compute a value; callers resolve it first.
     """
     if isinstance(kind, ContrastKind):
         vals = _h_values(entries, kind.h)
@@ -197,20 +211,25 @@ def _measure(entries: np.ndarray, k: int, kind: AssociationKind) -> tuple[float,
         return a - b, abs(a) + abs(b)
     if k < 2:
         raise InvalidTableError(f"bahadur requires k >= 2, got k={k}")
-    z = _bahadur_z(entries, k)
-    return float(math.fsum(z.reshape(-1))), float(np.abs(z).sum())
+    z, mus = _bahadur_z(entries, k)
+    for axis, mu in enumerate(mus.tolist()):
+        if not 0.0 < mu < 1.0:
+            raise EvaluationError(f"degenerate marginal for variable {axis + 1}: mu={mu}")
+    return float(math.fsum(z)), float(np.abs(z).sum())
 
 
 #: The built-in contrast kinds and the ufunc applying their ``h`` to a stack of
 #: rows.  Kinds are matched by equality, name and ``h`` alike, so a kind that
-#: only borrows a name is measured row by row.
+#: only borrows a name is measured row by row.  Bahadur rows are stacked by
+#: ``_bahadur_z`` instead; aggregate kinds are measured row by row.
 _UFUNCS = ((LOR, np.log), (DI, np.positive), (EX, np.exp))
 
 #: Per-term bound, relative to the scale, on the distance between a floating
 #: sum of ufunc values and the ``math.fsum`` of ``h`` values: the sum in any
 #: order is within n units of 2^-53 of the exact sum of its terms, each ufunc
 #: value within a few ulps of the ``math`` one, and 2^-51 per term plus 16
-#: spare terms covers both with room.
+#: spare terms covers both with room.  Stacked Bahadur products are the
+#: single-row floats, so only the order of summation counts for them.
 _TERM_BOUND = 2.0**-51
 
 
@@ -218,10 +237,11 @@ class _Rows(NamedTuple):
     """``_measure`` of each row of a stack, from :func:`_measure_rows`.
 
     ``values`` and ``scales`` are within ``bounds`` of the ``_measure``
-    results; ``bounds`` is 0 on rows that ``_measure`` measured itself.
-    ``signs`` are exactly ``thresholded_sign`` of the ``_measure`` results.
-    ``errors`` maps the index of each row on which ``_measure`` raised to
-    its error; such rows have value, scale and sign 0.
+    results; ``bounds`` is 0 on rows that ``_measure`` measured itself,
+    which are all rows of the aggregate and custom-``h`` kinds and of
+    Bahadur at k < 2.  ``signs`` are exactly ``thresholded_sign`` of the
+    ``_measure`` results.  ``errors`` maps the index of each row on which
+    ``_measure`` raised to its error; such rows have value, scale and sign 0.
     """
 
     values: np.ndarray
@@ -239,12 +259,15 @@ def _measure_rows(rows: np.ndarray, k: int, kind: AssociationKind) -> _Rows:
     """
     count = rows.shape[0]
     ufunc = next((f for known, f in _UFUNCS if kind == known), None)
-    if ufunc is None:
-        values, scales, bounds = np.zeros(count), np.zeros(count), np.full(count, np.inf)
-    else:
+    values, scales, bounds = np.zeros(count), np.zeros(count), np.full(count, np.inf)
+    if ufunc is not None or (isinstance(kind, BahadurKind) and k >= 2):
         with np.errstate(all="ignore"):
-            terms = ufunc(rows)
-            values = terms @ parity_signs(k)
+            if ufunc is not None:
+                terms = ufunc(rows)
+                values = terms @ parity_signs(k)
+            else:  # a degenerate marginal leaves NaN products, so its row is settled
+                terms = _bahadur_z(rows, k)[0]
+                values = terms.sum(axis=1)
             scales = np.abs(terms, out=terms).sum(axis=1)
             bounds = (rows.shape[1] + 16) * _TERM_BOUND * scales
     measured = _Rows(values, scales, bounds, np.zeros(count, dtype=np.int8), {})

@@ -4,10 +4,12 @@ With N multinomial draws from a normalized table, the sampled DI is
 positive exactly when more than N/2 observations land in even-parity
 cells, so the decision probability is a binomial tail in the even-parity
 mass p alone.  ``prob_di_positive_exact`` sums that tail in log space,
-walking out from the mode until the terms underflow;
+walking out from the mode until the terms underflow, in blocks of terms
+formed in numpy from a bounded cache of log-factorials (at most 4 MB);
 ``prob_di_positive_normal`` is the CLT approximation
 ``Phi(sqrt(N) (p - 1/2) / sqrt(p (1 - p)))``.  Ties (even count exactly
-N/2) count as not-positive.
+N/2) count as not-positive.  Tables whose total overflows a float are
+scaled by a power of two first (``table._finite_totals``).
 
 ``simulate_decisions`` cross-checks by Monte Carlo for any association
 kind.  Sampled tables may contain empty cells, which valid tables cannot,
@@ -25,13 +27,21 @@ the study with the error of the first such row.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .assoc import DI, LOR, AssociationKind, _measure_rows, resolve_kind
 from .errors import EvaluationError
-from .table import MAX_DIM, BinaryTable, _check_count, _check_real, parity_signs
+from .table import (
+    MAX_DIM,
+    BinaryTable,
+    _check_count,
+    _check_real,
+    _finite_totals,
+    parity_signs,
+)
 
 #: Replications drawn per keyed stream.  Chunks bound the memory of one
 #: draw to CHUNK count rows, and each chunk draws from its own stream keyed
@@ -45,7 +55,8 @@ SIGN_LABELS = {1: "positive", 0: "zero", -1: "negative"}
 def even_parity_mass(table: BinaryTable) -> float:
     """Fraction of the table total carried by the even-parity cells."""
     even = parity_signs(table.k) > 0
-    return float(math.fsum(table.entries[even]) / math.fsum(table.entries))
+    entries = _finite_totals(table.entries)
+    return float(math.fsum(entries[even]) / math.fsum(entries))
 
 
 def table_with_even_mass(k: int, p_even: float) -> BinaryTable:
@@ -57,6 +68,36 @@ def table_with_even_mass(k: int, p_even: float) -> BinaryTable:
     return BinaryTable(k, entries)
 
 
+#: Log-factorials ``lgamma(x + 1)`` are memoized in blocks of ``_LF_BLOCK``
+#: values (8 KiB).  The cache keeps at most ``_LF_BLOCKS`` blocks: 3.5 MiB of
+#: values, under 4 MB with the cache's own records.
+_LF_BLOCK = 1 << 10
+_LF_BLOCKS = 448
+
+#: Log-terms below this are 0.0 after ``math.exp``, which returns 0.0 below
+#: about -745.13.
+_EXP_FLOOR = -746.0
+
+
+@functools.lru_cache(maxsize=_LF_BLOCKS)
+def _log_factorial_block(block: int) -> np.ndarray:
+    """Read-only ``math.lgamma(x + 1)`` for the x of one block."""
+    first = block * _LF_BLOCK + 1
+    # math.lgamma takes floats faster than ints, and x + 1 <= 2^53 converts exactly
+    x = np.arange(first, first + _LF_BLOCK, dtype=np.float64).tolist()
+    values = np.fromiter(map(math.lgamma, x), np.float64, _LF_BLOCK)
+    values.flags.writeable = False
+    return values
+
+
+def _log_factorials(lo: int, hi: int) -> np.ndarray:
+    """``math.lgamma(x + 1)`` for x in ``[lo, hi)``, from the memoized blocks."""
+    first = lo // _LF_BLOCK
+    blocks = [_log_factorial_block(b) for b in range(first, (hi - 1) // _LF_BLOCK + 1)]
+    start = lo - first * _LF_BLOCK
+    return np.concatenate(blocks)[start:start + hi - lo]
+
+
 def prob_di_positive_exact(N: int, p: float) -> float:
     """P(sampled DI > 0): binomial tail P(X > N/2) for X ~ Bin(N, p).
 
@@ -66,6 +107,14 @@ def prob_di_positive_exact(N: int, p: float) -> float:
     directions and each walk stops at its first term that underflows to
     0.0: every term it skips is 0.0 too, and ``math.fsum`` is exactly
     rounded, so the result is the full sum's.
+
+    Each walk takes x in blocks that double in size.  A block's log-terms
+    are formed in numpy from memoized log-factorials, in the order of
+    operations of ``lgamma(N+1) - lgamma(x+1) - lgamma(N-x+1) + x log p +
+    (N-x) log q``, and ``math.exp`` (not ``np.exp``, which can differ by an
+    ulp) is applied to those above the underflow limit, so every term is
+    the float a scalar loop over x would give (for N below 2^53, where x
+    converts to a float exactly).
     """
     p = _check_real("p", p, 0, 1)
     N = _check_count("N", N, 1)
@@ -73,19 +122,23 @@ def prob_di_positive_exact(N: int, p: float) -> float:
     log_n_fact = math.lgamma(N + 1)
     lo = N // 2 + 1
     start = min(max(int((N + 1) * p), lo), N)
-    terms = []
-    for walk in (range(start, N + 1), range(start - 1, lo - 1, -1)):
-        for x in walk:
-            term = math.exp(
-                log_n_fact
-                - math.lgamma(x + 1)
-                - math.lgamma(N - x + 1)
-                + x * log_p
-                + (N - x) * log_q
-            )
-            if term == 0.0:
+    terms: list[float] = []
+    for x, stop, step in ((start, N + 1, 1), (start - 1, lo - 1, -1)):
+        size = 64
+        while x != stop:
+            end = min(x + size, stop) if step > 0 else max(x - size, stop)
+            a, b = (x, end) if step > 0 else (end + 1, x + 1)  # the block is x in [a, b)
+            xs = np.arange(a, b, dtype=np.float64)
+            lf_x, lf_rest = _log_factorials(a, b), _log_factorials(N - b + 1, N - a + 1)[::-1]
+            logs = (log_n_fact - lf_x - lf_rest + xs * log_p + (N - xs) * log_q)[::step]
+            below = np.flatnonzero(logs < _EXP_FLOOR)
+            block = list(map(math.exp, logs[:below[0] if below.size else len(logs)].tolist()))
+            if 0.0 in block:
+                del block[block.index(0.0):]
+            terms += block
+            if len(block) < len(logs):
                 break
-            terms.append(term)
+            x, size = end, min(2 * size, 1 << 11)
     return min(math.fsum(terms), 1.0)
 
 
@@ -161,7 +214,8 @@ def simulate_decisions(
     N = _check_count("N", N, 1)
     replications = _check_count("replications", replications, 1)
     seed = _check_count("seed", seed)
-    probs = true_table.entries / true_table.entries.sum()
+    entries = _finite_totals(true_table.entries)
+    probs = entries / entries.sum()
     k = true_table.k
 
     tally = {1: 0, 0: 0, -1: 0}

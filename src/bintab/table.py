@@ -95,6 +95,20 @@ def parity_signs(k: int, mask: int | None = None) -> np.ndarray:
     return signs
 
 
+def _finite_totals(entries: np.ndarray) -> np.ndarray:
+    """``entries`` scaled by ``2^-s`` along the last axis so that each row's total is finite.
+
+    ``s`` is the least shift, per row, that keeps the total below 2^1022
+    (from the largest entry's binary exponent, as in ``paramset._lor_lattice``),
+    so rows that cannot overflow come back as they are, bit for bit.  A
+    scaled row keeps every ratio of its entries unless an entry turns
+    subnormal.
+    """
+    expo = np.frexp(entries.max(axis=-1, keepdims=True))[1]
+    shift = np.maximum(expo + (entries.shape[-1] - 1).bit_length() - 1022, 0)
+    return np.ldexp(entries, -shift) if shift.any() else entries
+
+
 def _check_count(name: str, value: int, low: int = 0, high: int | None = None) -> int:
     """The one integer check: return ``value`` as an int or raise InvalidTableError.
 

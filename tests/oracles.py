@@ -7,7 +7,9 @@ butterfly, marginal-lattice or one-pass contrast kernels.
 and conditional-invariance properties the tests assert.  ``scalar_search``
 and ``scalar_battery`` run the seeded search and property battery one
 trial and one table at a time, the reference for the library's blocked
-loops.  All of them call public library names only.
+loops, and ``scalar_exact_tail`` sums the exact binomial tail one term at a
+time, the reference for its blocked walks.  All of them call public
+library names only.
 """
 
 import math
@@ -157,3 +159,29 @@ def scalar_battery(kind, k: int, trials: int, seed: int, witness_cap: int = 10):
         ):
             record("conditional_invariance", {"table": table, "rescales": ops})
     return failures, witnesses
+
+
+def scalar_exact_tail(N: int, p: float) -> float:
+    """``prob_di_positive_exact`` one term at a time, two ``lgamma`` and one ``exp`` each.
+
+    Walks out from the mode (clamped into the tail x > N/2) in both
+    directions and stops each walk at its first term that underflows to 0.0.
+    """
+    log_p, log_q = math.log(p), math.log1p(-p)
+    log_n_fact = math.lgamma(N + 1)
+    lo = N // 2 + 1
+    start = min(max(int((N + 1) * p), lo), N)
+    terms = []
+    for walk in (range(start, N + 1), range(start - 1, lo - 1, -1)):
+        for x in walk:
+            term = math.exp(
+                log_n_fact
+                - math.lgamma(x + 1)
+                - math.lgamma(N - x + 1)
+                + x * log_p
+                + (N - x) * log_q
+            )
+            if term == 0.0:
+                break
+            terms.append(term)
+    return min(math.fsum(terms), 1.0)

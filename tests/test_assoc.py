@@ -37,7 +37,7 @@ from bintab import (
     swap_category,
     thresholded_sign,
 )
-from bintab.assoc import SIGN_TAU, _measure_rows
+from bintab.assoc import SIGN_TAU, _bahadur_z, _measure, _measure_rows
 from oracles import recursive_contrast
 
 # k=3 distributions: one cell heavy vs. near-degenerate corner
@@ -120,6 +120,12 @@ class TestBahadur:
     def test_requires_k_at_least_two(self):
         with pytest.raises(InvalidTableError):
             bahadur(BinaryTable.from_entries([1.0, 2.0]))
+
+    def test_total_beyond_float_range(self):
+        # the total overflows, so the table is scaled by a power of two first
+        assert bahadur(BinaryTable.from_entries([1e308] * 4)) == 0.0
+        big = BinaryTable.from_entries([1e308, 7e307, 5e307, 1.5e308])
+        assert bahadur(big) == bahadur(BinaryTable(2, big.entries / 4))
 
 
 class TestRecursionAndAggregates:
@@ -279,8 +285,8 @@ class TestMeasureRows:
         assert got.signs[0] == sign(BinaryTable(2, rows[0]), EX)
 
     @pytest.mark.parametrize("kind", [
-        BAHADUR, ContrastKind("lor", math.sqrt), AggregateContrastKind("log", math.log),
-    ], ids=["bahadur", "look-alike", "aggregate"])
+        ContrastKind("lor", math.sqrt), AggregateContrastKind("log", math.log),
+    ], ids=["look-alike", "aggregate"])
     def test_other_kinds_measured_row_by_row(self, kind):
         rng = np.random.default_rng(3)
         rows = np.stack([random_table(3, rng).entries for _ in range(20)])
@@ -288,3 +294,91 @@ class TestMeasureRows:
         assert not got.bounds.any()
         assert got.values.tolist() == [evaluate(BinaryTable(3, row), kind) for row in rows]
         assert got.signs.tolist() == [sign(BinaryTable(3, row), kind) for row in rows]
+
+
+def _bahadur_threshold_rows(k, seed=None):
+    """Rows whose entry 0 steps one ulp at a time across Bahadur's upper sign threshold.
+
+    The other entries are 2.0, or 2.0 times random factors within 1e-3 of 1
+    with a seed, so the sign runs from -1 through 0 to +1 as entry 0 grows
+    from 1 to 3, and bisection finds the first entry with sign +1.
+    """
+    rest = np.full(2**k - 1, 2.0)
+    if seed is not None:
+        rest *= np.exp(np.random.default_rng(seed).uniform(-1e-3, 1e-3, 2**k - 1))
+
+    def positive(x):
+        return sign(BinaryTable(k, np.concatenate(([x], rest))), BAHADUR) > 0
+
+    low, high = 1.0, 3.0
+    assert not positive(low) and positive(high)
+    while (mid := (low + high) / 2) not in (low, high):
+        low, high = (low, mid) if positive(mid) else (mid, high)
+    steps = [high]
+    for _ in range(40):
+        steps.append(np.nextafter(steps[-1], np.inf))
+        steps.insert(0, np.nextafter(steps[0], -np.inf))
+    return np.array([np.concatenate(([x], rest)) for x in steps])
+
+
+class TestBahadurRows:
+    """The Bahadur branch of the batched kernel gives ``_measure``'s results."""
+
+    @pytest.mark.parametrize("k, seed", [(2, None), (3, None), (3, 4), (4, 5), (5, 6)])
+    def test_near_threshold_rows_fall_back_to_measure(self, k, seed):
+        rows = _bahadur_threshold_rows(k, seed)
+        got = _measure_rows(rows, k, BAHADUR)
+        tables = [BinaryTable(k, row) for row in rows]
+        want = [sign(t, BAHADUR) for t in tables]
+        assert sorted(set(want)) == [0, 1]  # the rows straddle the threshold
+        assert got.signs.tolist() == want
+        assert not got.bounds.any()  # each one measured by math.fsum
+        assert got.values.tolist() == [evaluate(t, BAHADUR) for t in tables]
+        assert got.scales.tolist() == [magnitude_scale(t, BAHADUR) for t in tables]
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_random_rows_within_their_bounds(self, k):
+        rng = np.random.default_rng(k)
+        rows = np.stack([random_table(k, rng).entries for _ in range(200)])
+        got = _measure_rows(rows, k, BAHADUR)
+        tables = [BinaryTable(k, row) for row in rows]
+        assert got.bounds.all()  # no row needed math.fsum
+        assert got.signs.tolist() == [sign(t, BAHADUR) for t in tables]
+        assert np.all(np.abs(got.values - [evaluate(t, BAHADUR) for t in tables]) <= got.bounds)
+        assert np.all(np.abs(got.scales - [magnitude_scale(t, BAHADUR) for t in tables])
+                      <= got.bounds)
+        assert not got.errors
+
+    def test_degenerate_rows_keep_their_errors(self):
+        # a marginal rounds to 1.0; sampled counts leave a variable's category empty
+        rows = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 1e-300, 1e-300, 1e-300],
+                         [5.0, 5.0, 0.0, 0.0], [2.0, 1.0, 1.0, 3.0], [0.0, 3.0, 0.0, 1.0]])
+        got = _measure_rows(rows, 2, BAHADUR)
+        assert sorted(got.errors) == [1, 2, 4]
+        for j, error in got.errors.items():
+            with pytest.raises(EvaluationError) as want:
+                _measure(rows[j], 2, BAHADUR)
+            assert type(error) is EvaluationError
+            assert str(error) == str(want.value)
+            assert got.values[j] == got.scales[j] == got.signs[j] == 0
+        for j in (0, 3):
+            assert got.signs[j] == sign(BinaryTable(2, rows[j]), BAHADUR)
+
+    def test_one_variable_rows_keep_their_errors(self):
+        got = _measure_rows(np.array([[1.0, 2.0], [3.0, 1.0]]), 1, BAHADUR)
+        assert sorted(got.errors) == [0, 1]
+        with pytest.raises(InvalidTableError) as want:
+            bahadur(BinaryTable.from_entries([1.0, 2.0]))
+        assert all(type(e) is InvalidTableError and str(e) == str(want.value)
+                   for e in got.errors.values())
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_stacked_products_equal_single_rows_bit_for_bit(self, k):
+        rng = np.random.default_rng(100 + k)
+        spreads = np.repeat([0.1, 1.0, 3.0, 8.0], 250)[:, None]
+        rows = np.exp(rng.uniform(-1.0, 1.0, size=(1000, 2**k)) * spreads)
+        z, mus = _bahadur_z(rows, k)
+        for j, row in enumerate(rows):
+            z1, mus1 = _bahadur_z(row, k)
+            assert z1.tobytes() == z[j].tobytes()
+            assert mus1.tobytes() == mus[:, j].tobytes()

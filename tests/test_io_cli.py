@@ -415,6 +415,13 @@ class TestCliPower:
         assert code == 0
         assert json.loads(out)["result"]["p"] == pytest.approx(17 / 37, rel=1e-12)
 
+    def test_table_total_beyond_float_range(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        save_table(BinaryTable.from_entries([1e308] * 4), path)
+        code, out = run_cli(capsys, "power", "--N", "10", "--table", str(path))
+        assert code == 0
+        assert json.loads(out)["result"]["p"] == 0.5
+
     def test_requires_exactly_one_source(self, capsys, stack_file):
         code, _ = run_cli(capsys, "power", "--N", "100")
         assert code == 2

@@ -1,6 +1,7 @@
 """Sign-decision probabilities under multinomial sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from bintab import (
     simulate_decisions,
     table_with_even_mass,
 )
-from bintab.sampling import _sample_sign
+from bintab.sampling import _LF_BLOCKS, _log_factorial_block, _sample_sign
+from oracles import scalar_exact_tail
 
 
 class TestEvenParityMass:
@@ -38,6 +40,11 @@ class TestEvenParityMass:
         t = table_with_even_mass(k, p)
         assert even_parity_mass(t) == pytest.approx(p, rel=1e-12)
         assert t.total == pytest.approx(1.0, rel=1e-12)
+
+    def test_total_beyond_float_range(self):
+        assert even_parity_mass(BinaryTable.from_entries([1e308] * 4)) == 0.5
+        big = BinaryTable.from_entries([1e308, 7e307, 5e307, 1.5e308])
+        assert even_parity_mass(big) == even_parity_mass(BinaryTable(2, big.entries / 4))
 
     def test_constructor_rejects_boundary_mass(self):
         with pytest.raises(InvalidTableError):
@@ -86,6 +93,40 @@ class TestExactTail:
         for prob in (prob_di_positive_exact, prob_di_positive_normal):
             with pytest.raises(InvalidTableError, match="N must be an integer >= 1, got True"):
                 prob(True, 0.5)
+
+
+def _tail_grid():
+    """(N, p) pairs: p within 4/sqrt(N) of 1/2, and far out in both tails."""
+    for N in (1, 2, 3, 4, 5, 10, 11, 100, 10**3, 10**4, 10**5, 10**6):
+        near = [0.5 + d / math.sqrt(N) for d in (-4, -2.5, -1, -0.2, 0, 0.3, 1, 2.5, 4)]
+        for p in [q for q in near if 0 < q < 1] + [1e-300, 1e-12, 0.3, 0.9, 1 - 1e-15]:
+            yield N, p
+
+
+class TestExactTailMatchesScalarOracle:
+    """The blocked walks return the bits of the one-term-at-a-time sum."""
+
+    @pytest.mark.parametrize("N, p", list(_tail_grid()))
+    def test_bits_with_cold_and_warm_cache(self, N, p):
+        want = scalar_exact_tail(N, p).hex()
+        _log_factorial_block.cache_clear()
+        assert prob_di_positive_exact(N, p).hex() == want  # cold
+        assert prob_di_positive_exact(N, p).hex() == want  # warm
+
+    def test_block_cache_stays_under_its_cap(self):
+        # walks at N = 10^7 need more blocks than the cache keeps, so it evicts
+        _log_factorial_block.cache_clear()
+        tracemalloc.start()
+        try:
+            for N in (10**6, 3 * 10**6, 10**7):
+                for d in (-3.0, 0.5, 2.0):
+                    prob_di_positive_exact(N, 0.5 + d / math.sqrt(N))
+                prob_di_positive_exact(N, 0.8)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert _log_factorial_block.cache_info().currsize == _LF_BLOCKS
+        assert retained <= 4_000_000
 
 
 class TestNormalApprox:
@@ -242,6 +283,14 @@ class TestSimulate:
         a = simulate_decisions(raw, 101, DI, 1000, seed=4)
         b = simulate_decisions(raw.normalized(), 101, DI, 1000, seed=4)
         assert a == b
+
+    @pytest.mark.parametrize("kind", [DI, BAHADUR], ids=["di", "bahadur"])
+    @pytest.mark.parametrize("entries", [[1e308] * 4, [1e308, 7e307, 5e307, 1.5e308]],
+                             ids=["flat", "mixed"])
+    def test_total_beyond_float_range(self, kind, entries):
+        big = BinaryTable.from_entries(entries)
+        want = simulate_decisions(BinaryTable(2, big.entries / 4), 10, kind, 50, seed=1)
+        assert simulate_decisions(big, 10, kind, 50, seed=1) == want
 
     def test_validation(self):
         t = table_with_even_mass(2, 0.6)
