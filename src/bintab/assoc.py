@@ -187,18 +187,43 @@ def bahadur(table: BinaryTable) -> float:
     return _measure(table.entries, table.k, BAHADUR)[0]
 
 
+def _parity_fsums(vals: list[float], k: int) -> tuple[float, float]:
+    """``math.fsum`` of the ``h`` values signed by parity, and of their magnitudes."""
+    signs = parity_signs(k)
+    value = math.fsum(v if s > 0 else -v for v, s in zip(vals, signs))
+    return value, math.fsum(abs(v) for v in vals)
+
+
+def _parity_fsums_scaled(vals: list[float], k: int) -> tuple[float, float]:
+    """:func:`_parity_fsums` where a partial sum overflows, so the scale is beyond the float range.
+
+    The scale is then ``inf``, against which every finite value signs 0.  The
+    sums are taken at ``2^-s`` (``s`` as in ``table._finite_totals``), and
+    the value, scaled back, is returned when they sign 0 too; otherwise the
+    sign is undecided and :class:`EvaluationError` is raised.
+    """
+    shift = math.frexp(max(map(abs, vals)))[1] + k - 1022
+    value, scale = _parity_fsums([math.ldexp(v, -shift) for v in vals], k)
+    if thresholded_sign(value, scale) != 0:
+        raise EvaluationError(
+            "the parity sums overflow the float range, which leaves the sign undecided")
+    return value * 2.0**shift, math.inf
+
+
 def _measure(entries: np.ndarray, k: int, kind: AssociationKind) -> tuple[float, float]:
     """Value of ``kind`` on an entry vector and its magnitude scale, from one pass.
 
-    The scale is the sum of the absolute summands entering the value.  Apart
+    The scale is the sum of the absolute summands entering the value, ``inf``
+    when that sum passes the float range (:func:`_parity_fsums_scaled`).  Apart
     from the batched ``_measure_rows``, no other function branches on the
     kind to compute a value; callers resolve it first.
     """
     if isinstance(kind, ContrastKind):
         vals = _h_values(entries, kind.h)
-        signs = parity_signs(k)
-        value = math.fsum(v if s > 0 else -v for v, s in zip(vals, signs))
-        return value, math.fsum(abs(v) for v in vals)
+        try:
+            return _parity_fsums(vals, k)
+        except OverflowError:
+            return _parity_fsums_scaled(vals, k)
     if isinstance(kind, AggregateContrastKind):
         even = parity_signs(k) > 0
         try:
@@ -307,8 +332,9 @@ def evaluate(table: BinaryTable, kind: AssociationKind | str) -> float:
 def magnitude_scale(table: BinaryTable, kind: AssociationKind | str) -> float:
     """Scale against which a value of ``kind`` is compared for sign extraction.
 
-    The sum of the absolute summands entering the parameter; a value within
-    ``SIGN_TAU`` of zero relative to this scale reports sign 0.
+    The sum of the absolute summands entering the parameter (``inf`` past
+    the float range); a value within ``SIGN_TAU`` of zero relative to this
+    scale reports sign 0.
     """
     return _measure(table.entries, table.k, resolve_kind(kind))[1]
 

@@ -182,7 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params")
     p.add_argument("--out", default=None, help="also write the table file")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=10_000)
+    p.add_argument("--max-iter", dest="max_iter", type=int, default=10_000,
+                   help="LOR fit: most Newton iterations per dimension's roots, "
+                        "and most refinement passes (default: 10000)")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("simpson", help="layer/collapsed sign scan over every variable")

@@ -90,7 +90,9 @@ def collapse_check(table: BinaryTable, kind: AssociationKind | str, i: int) -> C
     kind = resolve_kind(kind)
     i = _check_count("variable", i, 1, table.k)
     arr = table.array()
-    parts = (arr.take(0, i - 1), arr.take(1, i - 1), arr.sum(axis=i - 1))
+    first, second = arr.take(0, i - 1), arr.take(1, i - 1)
+    with np.errstate(over="ignore"):  # an infinite collapsed entry fails in _measure
+        parts = (first, second, first + second)
     measured = [_measure(part.reshape(-1), table.k - 1, kind) for part in parts]
     values = tuple(value for value, _ in measured)
     signs = tuple(thresholded_sign(value, scale) for value, scale in measured)

@@ -12,13 +12,20 @@ All of them come from one pass over the ``(3,)*k`` marginal lattice: each
 axis is extended to ``(x1, x2, x1 + x2)`` so that every marginal table
 appears as a sub-array, the logs are taken once, and each axis then folds
 to ``(collapsed, x1 - x2)``, in ``O(k 3^k)`` overall (the Yates / fast zeta
-transform pattern).  The inverse is a nonlinear system;
-:func:`lor_inverse` solves it by cyclic exponential tilting: multiplying
-the entries by ``exp(delta * sign_m)`` shifts the mask-m parameter by
-exactly ``2^dim * delta`` while leaving every superset-mask parameter
-unchanged, so each inner step hits its target in closed form and the
-cycles iterate to convergence; a step's marginal is one ``np.bincount``,
-and the entries are checked finite and positive once per cycle.
+transform pattern).
+
+The LOR inverse is a nonlinear system with a triangular structure in DI
+coordinates: the DI value of a mask is the same in every margin that
+contains it, so the marginal of a d-mask is fixed by the DI values of its
+proper submasks up to its own, and its LOR rises strictly in that one
+value (the mixed parameterization: lower margins and top interaction are
+variation independent).  :func:`lor_inverse` therefore sweeps the masks
+by dimension, one bracketed Newton root per mask, batched over the masks
+of a dimension, and then runs Newton passes whose linear solve is the same
+sweep linearized, with the marginals read from the lattice; corrections
+are applied multiplicatively so that small cells keep their relative
+precision.  Time and memory are ``O(k 3^k)``; ``max_iter`` bounds the
+Newton iterations of each dimension's roots and the number of passes.
 
 Zero-dimensional conventions: the empty-mask DI value is the sum of all
 entries; the empty-mask LOR value is the log of the product of all entries
@@ -27,6 +34,8 @@ entries; the empty-mask LOR value is the log of the product of all entries
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -104,34 +113,52 @@ def fwht(values: np.ndarray) -> np.ndarray:
     return a
 
 
+def _marginal_lattice(a: np.ndarray, add=np.add) -> np.ndarray:
+    """The flat ``(3,)*k`` lattice of every marginal table of the entries ``a``.
+
+    Each axis, variable 1 first, is extended to ``(x1, x2, x1 + x2)``, so the
+    index with digit 2 on the variables outside a mask and 0 or 1 on those
+    inside holds a cell of that mask's marginal.  ``add`` is ``np.logaddexp``
+    when ``a`` holds logs.
+    """
+    k = a.size.bit_length() - 1
+    for i in range(k):
+        a = a.reshape(3**i, 2, -1)
+        a = np.concatenate((a, add(a[:, :1], a[:, 1:])), axis=1)
+    return a.reshape(-1)
+
+
+def _fold_contrasts(logs: np.ndarray, k: int) -> np.ndarray:
+    """Fold each axis of a ``(3,)*k`` log lattice to ``(collapsed, x1 - x2)``.
+
+    Index ``m`` of the result is the log contrast of the mask-m marginal;
+    index 0 is the log of the total.
+    """
+    for i in range(k):
+        logs = logs.reshape(2**i, 3, -1)
+        logs = np.concatenate((logs[:, 2:], logs[:, :1] - logs[:, 1:2]), axis=1)
+    return logs.reshape(-1)
+
+
 def _lor_lattice(p: np.ndarray) -> np.ndarray:
     """All 2^k LOR parameters of the positive entry vector ``p``.
 
-    Extends each axis to ``(x1, x2, x1 + x2)`` -- the ``(3,)*k`` lattice of
-    every marginal table -- takes logs, then folds each axis to
-    ``(collapsed, x1 - x2)``.  Index ``m`` of the result is the log contrast
-    of the marginal over the variables whose mask bit is 1; the empty mask
-    is the compensated sum of the logs.  When the total could overflow, the
-    logs come first and each axis extends by ``np.logaddexp`` instead; they
-    are logs of ``p / 2^E`` (``E`` the largest binary exponent), from the
+    Takes the logs of the marginal lattice (:func:`_marginal_lattice`) once
+    and folds them (:func:`_fold_contrasts`); the empty mask is the
+    compensated sum of the logs.  When the total could overflow, the logs
+    come first and each axis extends by ``np.logaddexp`` instead; they are
+    logs of ``p / 2^E`` (``E`` the largest binary exponent), from the
     mantissas and exponents, so no subnormal entry is flushed to zero and
     the large logs lose no digits to their magnitude.
     """
     k = p.size.bit_length() - 1
-    in_logs = math.frexp(float(p.max()))[1] + k > 1022  # the total may reach 2^1022
-    a, add = p, np.add
-    if in_logs:
+    if math.frexp(float(p.max()))[1] + k > 1022:  # the total may reach 2^1022
         mant, expo = np.frexp(p)
-        a, add = np.log(mant) + (expo - expo.max()) * math.log(2.0), np.logaddexp
-    for i in range(k):
-        a = a.reshape(3**i, 2, -1)
-        a = np.concatenate((a, add(a[:, :1], a[:, 1:])), axis=1)
-    if not in_logs:
-        a = np.log(a)
-    for i in range(k):
-        a = a.reshape(2**i, 3, -1)
-        a = np.concatenate((a[:, 2:], a[:, :1] - a[:, 1:2]), axis=1)
-    values = a.reshape(-1)
+        logs = np.log(mant) + (expo - expo.max()) * math.log(2.0)
+        lattice = _marginal_lattice(logs, np.logaddexp)
+    else:
+        lattice = np.log(_marginal_lattice(p))
+    values = _fold_contrasts(lattice, k)
     values[0] = math.fsum(np.log(p))
     return values
 
@@ -174,50 +201,228 @@ def di_inverse(params: ParamSet) -> BinaryTable:
 def lor_inverse(params: ParamSet, tol: float = 1e-8, max_iter: int = 10_000) -> BinaryTable:
     """Positive table whose LOR parameters match ``params`` within ``tol``.
 
-    Starts from the constant table with the target log-product, then cycles
-    the masks in nondecreasing dimension (ascending within a dimension),
-    tilting the entries in place by ``exp(delta * sign_m)``.  The mask's own
-    parameter responds linearly with slope ``2^dim`` (``2^k`` for the empty
-    mask), so each tilt lands exactly.  Its marginal is one ``np.bincount``
-    over blocks of cells, a block summed first where the mask's last
-    variables are unselected: the order of a reshape-sum, bit for bit.  A
-    cycle ends with one check that the entries are finite and positive (no
-    tilt can repair one that is not) and the residual from the lattice.
+    A sweep over the masks in nondecreasing dimension builds the table in DI
+    coordinates, the values that are the same in every margin containing
+    their mask (:func:`_sweep`): once the masks below dimension d are
+    solved, the marginal of a d-mask is known up to its own DI value, and
+    its LOR rises strictly in that value, so each mask takes one bracketed
+    Newton root, batched over the masks of a dimension.  Newton passes then
+    refine the table (:func:`_newton_pass`): the residual comes from the
+    marginal lattice, the linear solve is the same sweep linearized, and
+    each correction is applied multiplicatively.  Last, the table is
+    rescaled in logs to the target log-product ``params.values[0]``.  Time
+    and memory are ``O(k 3^k)``.
 
-    Raises :class:`ConvergenceError` when ``max_iter`` cycles do not reach
-    ``tol`` in max absolute deviation, and :class:`EvaluationError` when a
-    cycle ends with a non-finite or non-positive entry.
+    ``max_iter`` bounds the Newton iterations of each dimension's roots and
+    the number of refinement passes; the passes also stop at the first one
+    that does not lower the residual (the rounding floor).
+
+    Raises :class:`NonRealizableParamsError` naming the first mask whose
+    fitted lower margins admit no positive marginal,
+    :class:`EvaluationError` when a fitted cell underflows relative to the
+    total or an entry leaves the float range in the rescale, and
+    :class:`ConvergenceError` when the residual (max absolute deviation)
+    stays at or above ``tol``.
     """
     if params.kind != "lor":
         raise InvalidTableError(f"lor_inverse needs kind 'lor', got {params.kind!r}")
     tol = _check_real("tol", tol, 0)
     max_iter = _check_count("max_iter", max_iter, 1)
-    k, n = params.k, 2 ** params.k
-    target = params.values
-    p = np.full(n, math.exp(target[0] / n))
-    # rows: p's blocks of trailing unselected variables, as a view; idx: each
-    # block's marginal index, the rank of its m-bits among m's submasks
-    cells, steps = np.arange(n), []
-    for m in masks_by_dimension(k)[1:]:
-        block = m & -m
-        steps.append((m, p.reshape(-1, block) if block > 1 else None,
-                      np.unique(cells[::block] & m, return_inverse=True)[1],
-                      parity_signs(m.bit_count()), parity_signs(k, m), 2.0 ** m.bit_count()))
+    k, target = params.k, params.values
+    tables = (_memo_mask_tables if k <= _MEMO_K else _mask_tables)(k)
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
-            p *= np.exp((target[0] - float(np.log(p).sum())) / n)
-            for m, rows, idx, signs_small, signs_full, slope in steps:
-                weights = p if rows is None else np.add.reduce(rows, axis=1)
-                marg = np.bincount(idx, weights=weights, minlength=signs_small.size)
-                delta = (target[m] - float(signs_small @ np.log(marg))) / slope
-                p *= np.exp(delta * signs_full)
-            if not (np.all(np.isfinite(p)) and np.all(p > 0)):
-                raise EvaluationError("non-finite intermediate while fitting LOR targets")
-            residual = float(np.max(np.abs(_lor_lattice(p) - target)))
-            if residual < tol:
-                return BinaryTable(k, p)
-    raise ConvergenceError(
-        f"LOR fit residual {residual:.3e} above tol={tol:.3e} "
-        f"after {max_iter} cycles",
-        residual=residual,
-    )
+        p = _sweep(target, tables, max_iter)
+        residual, lattice, r = _fit_residual(p, target)
+        passes = 0
+        while residual >= tol and passes < max_iter:
+            trial = _newton_pass(p, lattice, r, tables)
+            trial_residual, trial_lattice, trial_r = _fit_residual(trial, target)
+            if not trial_residual < residual:
+                break
+            p, residual, lattice, r = trial, trial_residual, trial_lattice, trial_r
+            passes += 1
+        p = _rescale(p, float(target[0]))
+    residual = float(np.max(np.abs(_lor_lattice(p) - target)))
+    if residual >= tol:
+        raise ConvergenceError(
+            f"LOR fit residual {residual:.3e} not below tol={tol:.3e} "
+            f"after {passes} refinement passes",
+            residual=residual,
+        )
+    return BinaryTable(k, p)
+
+
+def _mask_tables(k: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Per dimension d = 1..k: the d-masks ascending, their submasks, their lattice cells.
+
+    Row i of ``subs`` lists the submasks of ``masks[i]`` by the local index j
+    of that mask's marginal table (bit 0 of j is the mask's last variable),
+    so the Walsh transform of the marginal at j is the DI value at
+    ``subs[i, j]``; row i of ``cells`` holds the flat indices of the
+    marginal's cells in :func:`_marginal_lattice` (mask bit b has stride
+    ``3^b`` there, digit 2 is the collapsed axis).  Read-only, as the tables
+    of the small dimensions are memoized (:data:`_memo_mask_tables`).
+    """
+    tables = []
+    for d in range(1, k + 1):
+        bits = np.array(list(itertools.combinations(range(k), d)), dtype=np.intp)
+        subs = np.zeros((len(bits), 1), dtype=np.intp)
+        cells = 3**k - 1 - 2 * (3**bits).sum(axis=1, keepdims=True)
+        for b in bits.T:
+            subs = np.concatenate((subs, subs + (1 << b)[:, None]), axis=1)
+            cells = np.concatenate((cells, cells + (3**b)[:, None]), axis=1)
+        order = np.argsort(subs[:, -1])
+        table = (subs[order, -1], subs[order], cells[order])
+        for a in table:
+            a.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
+
+
+#: Largest k whose index tables (3^k entries each) stay memoized.
+_MEMO_K = 8
+
+_memo_mask_tables = functools.lru_cache(maxsize=_MEMO_K + 1)(_mask_tables)
+
+
+def _mask_name(m: int, k: int) -> str:
+    variables = ", ".join(str(i + 1) for i in range(k) if m >> (k - 1 - i) & 1)
+    return f"mask {m:0{k}b} (variables {variables})"
+
+
+#: Bound on the logistic coordinate of a root: at 750 the cell closing the
+#: bracket is below 1e-325 of the bracket's width, which is 0 in floats.
+_X_BOUND = 750.0
+
+#: The smallest normal float: a swept marginal cell below it, relative to a
+#: total of 1, has lost digits to underflow.
+_TINY = np.finfo(np.float64).tiny
+
+
+def _sweep(target: np.ndarray, tables, max_iter: int) -> np.ndarray:
+    """Entries summing to 1 whose LOR values at the nonempty masks are ``target``'s.
+
+    For the masks of dimension d, the marginal is ``q0 + delta * s``: ``q0``
+    the local :func:`fwht` of the solved DI values of the proper submasks
+    (top coefficient 0), ``s`` the parity signs, ``delta`` the mask's DI
+    value over ``2^d``.  The marginal is positive for ``delta`` in
+    ``(lo, hi)``, from the even and the odd cells of ``q0``; an empty
+    interval means no positive table has these lower margins.  With
+    ``delta = lo + width * sigmoid(x)`` each cell is a non-negative offset
+    plus a positive term (:func:`_marginal_cells`), so none loses digits to
+    cancellation, and :func:`_logistic_roots` finds ``x``.  The last
+    dimension's marginal is the table.
+    """
+    k = target.size.bit_length() - 1
+    v = np.zeros(target.size)
+    v[0] = 1.0
+    marginals = v
+    for masks, subs, _ in tables:
+        size = subs.shape[1]
+        even = parity_signs(size.bit_length() - 1) > 0
+        known = v[subs]
+        known[:, -1] = 0.0
+        q0 = fwht(known) / size
+        lo, hi = np.max(-q0[:, even], axis=1), np.min(q0[:, ~even], axis=1)
+        width = hi - lo
+        closed = np.flatnonzero(~(width > 0))
+        if closed.size:
+            raise NonRealizableParamsError(
+                f"LOR targets are not realizable: no positive marginal over "
+                f"{_mask_name(int(masks[closed[0]]), k)} has the lower margins fitted so far")
+        low, high = q0[:, even] + lo[:, None], q0[:, ~even] - hi[:, None]
+        x = _logistic_roots(low, high, width, target[masks], max_iter)
+        marginals = np.empty_like(q0)
+        marginals[:, even], marginals[:, ~even], up, _ = _marginal_cells(low, high, width, x)
+        under = np.flatnonzero(~np.all(marginals >= _TINY, axis=1))
+        if under.size:
+            raise EvaluationError(
+                f"LOR fit underflows: a cell of the marginal over "
+                f"{_mask_name(int(masks[under[0]]), k)} falls below the smallest normal "
+                "float relative to the table total")
+        v[masks] = (lo + width * up) * size
+    return marginals.reshape(-1)
+
+
+def _marginal_cells(low: np.ndarray, high: np.ndarray, width: np.ndarray, x: np.ndarray):
+    """Even cells ``low + width * sigmoid(x)``, odd cells ``high + width * sigmoid(-x)``.
+
+    Also returns ``sigmoid(x)`` and ``sigmoid(-x)``, each to full relative
+    precision.
+    """
+    up, down = 1.0 / (1.0 + np.exp(-x)), 1.0 / (1.0 + np.exp(x))
+    return low + (width * up)[:, None], high + (width * down)[:, None], up, down
+
+
+def _logistic_roots(low, high, width, tau, max_iter: int) -> np.ndarray:
+    """The ``x`` at which each row's marginal LOR, ``sum log(even) - sum log(odd)``, is ``tau``.
+
+    The LOR rises in ``x`` with slope at least 1 (the two cells that close
+    the bracket contribute ``sigmoid(-x)`` and ``sigmoid(x)``) and tends to
+    lines at both ends, so Newton steps from 0 converge; a step that leaves
+    the closed bracket known so far bisects it instead (closed, as the zero
+    step of a converged row starts at one of its ends).  Every row steps
+    until all steps are below ``1e-12 (1 + |x|)``, at most ``max_iter`` times.
+    """
+    x = np.zeros(len(tau))
+    below, above = np.full_like(x, -_X_BOUND), np.full_like(x, _X_BOUND)
+    for _ in range(max_iter):
+        even, odd, up, down = _marginal_cells(low, high, width, x)
+        f = np.log(even).sum(axis=1) - np.log(odd).sum(axis=1) - tau
+        slope = width * up * down * ((1.0 / even).sum(axis=1) + (1.0 / odd).sum(axis=1))
+        below, above = np.where(f < 0, x, below), np.where(f > 0, x, above)
+        step = x - f / slope
+        step = np.where((step >= below) & (step <= above), step, 0.5 * (below + above))
+        done = np.all(np.abs(step - x) <= 1e-12 * (1.0 + np.abs(x)))
+        x = step
+        if done:
+            break
+    return x
+
+
+def _fit_residual(p: np.ndarray, target: np.ndarray):
+    """Max LOR deviation over the nonempty masks, the marginal lattice and the deviations."""
+    lattice = _marginal_lattice(p)
+    r = _fold_contrasts(np.log(lattice), p.size.bit_length() - 1) - target
+    r[0] = 0.0
+    return float(np.max(np.abs(r))), lattice, r
+
+
+def _newton_pass(p: np.ndarray, lattice: np.ndarray, r: np.ndarray, tables) -> np.ndarray:
+    """One Newton step on the LOR deviations ``r``, solved in DI coordinates.
+
+    The LOR of mask m depends on the DI values of m's submasks only, so the
+    linear system is triangular and solves by the sweep of :func:`_sweep`:
+    row m is ``fwht(s / q_m) / 2^d`` with the marginal ``q_m`` read from the
+    lattice, here scaled by ``min(q_m)`` so that no tiny cell overflows it.
+    The correction maps back by :func:`fwht` and is applied as
+    ``p * exp(dp / p)``, which keeps every cell positive and its relative
+    precision.
+    """
+    dv = np.zeros(p.size)
+    for masks, subs, cells in tables:
+        size = subs.shape[1]
+        q = lattice[cells]
+        floor = q.min(axis=1)
+        rows = fwht(parity_signs(size.bit_length() - 1) * (floor[:, None] / q))
+        lower = (rows[:, :-1] * dv[subs[:, :-1]]).sum(axis=1)
+        dv[masks] = -(r[masks] * size * floor + lower) / rows[:, -1]
+    return p * np.exp(fwht(dv) / (p.size * p))
+
+
+def _rescale(p: np.ndarray, log_product: float) -> np.ndarray:
+    """``p`` times the factor that makes the sum of its logs ``log_product``.
+
+    The factor's log splits into a power of two and a remainder in
+    ``[0, log 2)``, so a factor beyond the float range still scales entries
+    that stay within it.  Raises :class:`EvaluationError` when an entry
+    overflows or underflows to 0.
+    """
+    shift = (log_product - math.fsum(np.log(p))) / p.size
+    power = math.floor(shift / math.log(2.0))
+    scaled = np.ldexp(p * math.exp(shift - power * math.log(2.0)), power)
+    if not (np.all(np.isfinite(scaled)) and np.all(scaled > 0)):
+        raise EvaluationError(
+            f"LOR fit leaves the float range: the target log-product {log_product!r} "
+            "needs entries beyond it")
+    return scaled

@@ -221,8 +221,9 @@ class BinaryTable:
         return float(self.entries.sum())
 
     def normalized(self) -> "BinaryTable":
-        """Same table scaled to sum 1."""
-        return BinaryTable(self.k, self.entries / self.entries.sum())
+        """Same table scaled to sum 1, by way of :func:`_finite_totals` when the total overflows."""
+        entries = _finite_totals(self.entries)
+        return BinaryTable(self.k, entries / entries.sum())
 
     def allclose(self, other: "BinaryTable", rtol: float = 1e-12, atol: float = 0.0) -> bool:
         return self.k == other.k and bool(

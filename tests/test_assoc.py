@@ -34,6 +34,7 @@ from bintab import (
     random_table,
     resolve_kind,
     sign,
+    simpson_scan,
     swap_category,
     thresholded_sign,
 )
@@ -94,6 +95,34 @@ class TestContrastGoldens:
         t = BinaryTable.from_entries([1000.0, 1.0, 1.0, 1.0])
         with pytest.raises(EvaluationError):
             ex(t)
+
+
+class TestSumsBeyondFloatRange:
+    """Partial sums of ``h`` values past the float range give a value or an EvaluationError."""
+
+    BIG = BinaryTable.from_entries([1e308] * 4)
+
+    def test_di_value_and_sign(self):
+        # the scale, 4e308, is beyond the float range; the value is exactly 0
+        assert evaluate(self.BIG, "di") == 0.0
+        assert sign(self.BIG, DI) == 0
+        assert magnitude_scale(self.BIG, DI) == math.inf
+
+    def test_value_of_the_scaled_sums(self):
+        top = np.nextafter(1e308, math.inf)
+        t = BinaryTable.from_entries([1e308, 1e308, 1e308, top])
+        assert evaluate(t, DI) == top - 1e308
+        assert sign(t, DI) == 0
+
+    @pytest.mark.parametrize("entries", [[1e308, 1e308, 1e308, 1e300], [1e308, 1.0, 1.0, 1e308]])
+    def test_undecided_sign_is_an_evaluation_error(self, entries):
+        # |value| passes SIGN_TAU times any scale the float range can hold
+        with pytest.raises(EvaluationError, match="sign undecided"):
+            sign(BinaryTable.from_entries(entries), DI)
+
+    def test_simpson_scan_of_an_overflowing_collapse(self):
+        with pytest.raises(EvaluationError, match="non-finite"):
+            simpson_scan(BinaryTable.from_entries([1e308] * 8), ["di"])
 
 
 class TestBahadur:

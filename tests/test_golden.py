@@ -129,7 +129,7 @@ CLI_DIGESTS = {
     "power-p": "ed3aa7132e656ff9718340b7bc73bc489ac79a7cfca0c7ea8a0a37ce6516892a",
     "power-table-mc": "caec85b64b765c42864660f5f8d2ab2b1c2a27e7f544abd4212eb0cfa5e0211c",
     "reconstruct-di": "3a9ff0d99ac16b51e2fdebc7e5ca4049182b488a7153aacee8c1965fc21de53b",
-    "reconstruct-lor": "31857fd1b5046e4e265b3a63943c8c9857e6cc5b74ac5f8c86b926300a9de0f5",
+    "reconstruct-lor": "bd88fd6356762c29ab889d2ae76c4a2f3b025cbf020ecd522ee9cc6cb83ee5bc",
     "search-di-exhausted": "bed2e301739cdba0b3bb703642eeb93b8552204beb17e741115a8b09bb56ad26",
     "search-lor": "b016d76ee88611435fc9071834f864c501da1cdcfc13f63f52eeca10aee27b9c",
     "simpson-default": "4d8e481cd72446f248c8681b7bd845581107438802b66fac00ca9f046406bd7e",
@@ -163,3 +163,12 @@ def test_cli_envelope_digests(name, tmp_path, capsys):
         assert parsed.pop("version") == __version__
     got = hashlib.sha256(json.dumps(parsed, sort_keys=True).encode()).hexdigest()
     assert got == CLI_DIGESTS[name], out
+
+
+def test_reconstruct_lor_envelope_is_the_table(tmp_path, capsys):
+    # the envelope the digest above pins: the t3 table itself, to 1e-12
+    path = str(tmp_path / "lor3.json")
+    save_paramset(full_params(BinaryTable.from_entries(CLI_TABLES["t3"]), "lor"), path)
+    assert main(["reconstruct", path, "--tol", "1e-10"]) == 0
+    entries = np.array(json.loads(capsys.readouterr().out)["result"]["entries"])
+    assert np.max(np.abs(entries / CLI_TABLES["t3"] - 1.0)) < 1e-12

@@ -213,6 +213,18 @@ class TestCliParams:
         assert code == 3
         assert json.loads(out)["error"]["type"] == "EvaluationError"
 
+    @pytest.mark.parametrize("entries, code", [([1e308] * 4, 0), ([1e308, 1.0, 1.0, 1e308], 3)])
+    def test_di_sums_beyond_float_range(self, capsys, tmp_path, entries, code):
+        # the first value is exactly 0; the second overflows the float range
+        path = tmp_path / "big.json"
+        save_table(BinaryTable.from_entries(entries), path)
+        got, out = run_cli(capsys, "params", str(path), "--kind", "di")
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["result"] == {"kind": "di", "value": 0.0}
+        else:
+            assert json.loads(out)["error"]["type"] == "EvaluationError"
+
     def test_kind_resolved_by_name(self, capsys, table_file):
         code, out = run_cli(capsys, "params", table_file, "--kind", "DI")
         assert code == 0 and json.loads(out)["result"]["kind"] == "di"

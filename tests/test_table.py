@@ -397,3 +397,10 @@ def test_rescale_preserves_conditional(table, data):
 @settings(max_examples=200)
 def test_normalized_total_is_one(table):
     assert np.isclose(table.normalized().total, 1.0, rtol=1e-12)
+
+
+def test_normalized_total_beyond_float_range():
+    # the total 4e308 overflows; the entries are scaled by a power of two first
+    assert BinaryTable.from_entries([1e308] * 4).normalized().entries.tolist() == [0.25] * 4
+    big = BinaryTable.from_entries([1e308, 7e307, 5e307, 1.5e308])
+    assert big.normalized().allclose(BinaryTable(2, big.entries / 4).normalized(), rtol=0)
