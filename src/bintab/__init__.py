@@ -58,7 +58,6 @@ from .paramset import (
     full_params,
     fwht,
     lor_inverse,
-    masks_by_dimension,
 )
 from .structure import CanonicalTrace, Decomposition, Peak, Step, canonicalize, decompose, recompose
 from .collapsibility import (

@@ -41,6 +41,7 @@ the bound, are therefore the ones ``_measure`` gives.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -48,7 +49,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import BintabError, EvaluationError, InvalidTableError
-from .table import BinaryTable, _finite_totals, parity_signs
+from .table import BinaryTable, _finite_totals, _float_range_shift, parity_signs
 
 #: Relative threshold below which a parameter value reports sign 0.
 SIGN_TAU = 1e-9
@@ -106,13 +107,14 @@ def resolve_kind(kind: AssociationKind | str) -> AssociationKind:
         ) from None
 
 
-def _h_values(entries: np.ndarray, h: Callable[[float], float]) -> list[float]:
+def _applied(f: Callable[[float], float], xs, name: str, noun: str) -> list[float]:
+    """``[float(f(x)) for x in xs]``; EvaluationError when ``f`` fails or leaves the reals."""
     try:
-        vals = [float(h(float(x))) for x in entries]
+        vals = [float(f(x)) for x in xs]
     except (OverflowError, ValueError) as exc:
-        raise EvaluationError(f"h failed on a table entry: {exc}") from exc
-    if not all(math.isfinite(v) for v in vals):
-        raise EvaluationError("h produced a non-finite value on a table entry")
+        raise EvaluationError(f"{name} failed on {noun}: {exc}") from exc
+    if not all(map(math.isfinite, vals)):
+        raise EvaluationError(f"{name} produced a non-finite value on {noun}")
     return vals
 
 
@@ -188,23 +190,22 @@ def bahadur(table: BinaryTable) -> float:
 
 
 def _parity_fsums(vals: list[float], k: int) -> tuple[float, float]:
-    """``math.fsum`` of the ``h`` values signed by parity, and of their magnitudes."""
-    signs = parity_signs(k)
-    value = math.fsum(v if s > 0 else -v for v, s in zip(vals, signs))
-    return value, math.fsum(abs(v) for v in vals)
+    """``math.fsum`` of the ``h`` values signed by parity, and of their magnitudes.
 
-
-def _parity_fsums_scaled(vals: list[float], k: int) -> tuple[float, float]:
-    """:func:`_parity_fsums` where a partial sum overflows, so the scale is beyond the float range.
-
-    The scale is then ``inf``, against which every finite value signs 0.  The
-    sums are taken at ``2^-s`` (``s`` as in ``table._finite_totals``), and
-    the value, scaled back, is returned when they sign 0 too; otherwise the
-    sign is undecided and :class:`EvaluationError` is raised.
+    When a partial sum overflows, the scale is beyond the float range and is
+    returned as ``inf``, against which every finite value signs 0.  The sums
+    are then taken at ``2^-s`` (``table._float_range_shift``), and the value,
+    scaled back, is returned when they sign 0 too; otherwise the sign is
+    undecided and :class:`EvaluationError` is raised.
     """
-    shift = math.frexp(max(map(abs, vals)))[1] + k - 1022
-    value, scale = _parity_fsums([math.ldexp(v, -shift) for v in vals], k)
-    if thresholded_sign(value, scale) != 0:
+    signs = parity_signs(k).tolist()
+    try:
+        return math.fsum(map(operator.mul, vals, signs)), math.fsum(map(abs, vals))
+    except OverflowError:
+        shift = int(_float_range_shift(max(map(abs, vals)), len(vals)))
+        scaled = [math.ldexp(v, -shift) for v in vals]
+        value = math.fsum(map(operator.mul, scaled, signs))
+    if thresholded_sign(value, math.fsum(map(abs, scaled))) != 0:
         raise EvaluationError(
             "the parity sums overflow the float range, which leaves the sign undecided")
     return value * 2.0**shift, math.inf
@@ -214,25 +215,18 @@ def _measure(entries: np.ndarray, k: int, kind: AssociationKind) -> tuple[float,
     """Value of ``kind`` on an entry vector and its magnitude scale, from one pass.
 
     The scale is the sum of the absolute summands entering the value, ``inf``
-    when that sum passes the float range (:func:`_parity_fsums_scaled`).  Apart
+    when that sum passes the float range (:func:`_parity_fsums`).  Apart
     from the batched ``_measure_rows``, no other function branches on the
     kind to compute a value; callers resolve it first.
     """
     if isinstance(kind, ContrastKind):
-        vals = _h_values(entries, kind.h)
-        try:
-            return _parity_fsums(vals, k)
-        except OverflowError:
-            return _parity_fsums_scaled(vals, k)
+        return _parity_fsums(_applied(kind.h, entries.tolist(), "h", "a table entry"), k)
     if isinstance(kind, AggregateContrastKind):
         even = parity_signs(k) > 0
-        try:
-            a = float(kind.d(float(entries[even].sum())))
-            b = float(kind.d(float(entries[~even].sum())))
-        except (OverflowError, ValueError) as exc:
-            raise EvaluationError(f"d failed on a parity-class total: {exc}") from exc
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise EvaluationError("d produced a non-finite value on a parity-class total")
+        # a total past the float range reaches d as inf, with no numpy warning
+        with np.errstate(over="ignore"):
+            totals = [float(entries[even].sum()), float(entries[~even].sum())]
+        a, b = _applied(kind.d, totals, "d", "a parity-class total")
         return a - b, abs(a) + abs(b)
     if k < 2:
         raise InvalidTableError(f"bahadur requires k >= 2, got k={k}")
@@ -240,7 +234,7 @@ def _measure(entries: np.ndarray, k: int, kind: AssociationKind) -> tuple[float,
     for axis, mu in enumerate(mus.tolist()):
         if not 0.0 < mu < 1.0:
             raise EvaluationError(f"degenerate marginal for variable {axis + 1}: mu={mu}")
-    return float(math.fsum(z)), float(np.abs(z).sum())
+    return math.fsum(z.tolist()), float(np.abs(z).sum())
 
 
 #: The built-in contrast kinds and the ufunc applying their ``h`` to a stack of

@@ -48,8 +48,8 @@ from .errors import (
     InvalidTableError,
     NonRealizableParamsError,
 )
-from .table import (BinaryTable, _check_count, _check_real, _frozen_vector, index_to_cell,
-                    parity_signs)
+from .table import (BinaryTable, _check_count, _check_real, _float_range_shift, _frozen_vector,
+                    index_to_cell, parity_signs)
 
 
 def _system_kind(kind) -> ContrastKind:
@@ -87,11 +87,6 @@ class ParamSet:
         )
 
 
-def masks_by_dimension(k: int) -> list[int]:
-    """All mask integers ordered by nondecreasing dimension, ascending within."""
-    return sorted(range(2**k), key=lambda m: (m.bit_count(), m))
-
-
 def fwht(values: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis (length a power of two).
 
@@ -99,11 +94,16 @@ def fwht(values: np.ndarray) -> np.ndarray:
     ``m`` is ``sum_t (-1)^{popcount(m & t)} x[t]``.  The same transform
     scaled by ``1 / n`` is its own inverse.
     """
-    a = np.array(values, dtype=np.float64, copy=True)
+    a = np.asarray(values, dtype=np.float64)
     n = a.shape[-1]
     if n & (n - 1):
         raise InvalidTableError(f"length {n} is not a power of two")
-    h = 1
+    return _butterfly(a) if n > 1 else a.copy()
+
+
+def _butterfly(a: np.ndarray) -> np.ndarray:
+    """:func:`fwht` of a float array whose last axis has a power-of-two length above 1."""
+    n, h = a.shape[-1], 1
     while h < n:
         a = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
         top = a[..., 0, :] + a[..., 1, :]
@@ -145,14 +145,15 @@ def _lor_lattice(p: np.ndarray) -> np.ndarray:
 
     Takes the logs of the marginal lattice (:func:`_marginal_lattice`) once
     and folds them (:func:`_fold_contrasts`); the empty mask is the
-    compensated sum of the logs.  When the total could overflow, the logs
-    come first and each axis extends by ``np.logaddexp`` instead; they are
+    compensated sum of the logs.  When the total could reach 2^1022 (a
+    positive ``table._float_range_shift``), the logs come first and each
+    axis extends by ``np.logaddexp`` instead; they are
     logs of ``p / 2^E`` (``E`` the largest binary exponent), from the
     mantissas and exponents, so no subnormal entry is flushed to zero and
     the large logs lose no digits to their magnitude.
     """
     k = p.size.bit_length() - 1
-    if math.frexp(float(p.max()))[1] + k > 1022:  # the total may reach 2^1022
+    if _float_range_shift(p.max(), p.size) > 0:
         mant, expo = np.frexp(p)
         logs = np.log(mant) + (expo - expo.max()) * math.log(2.0)
         lattice = _marginal_lattice(logs, np.logaddexp)
@@ -322,7 +323,7 @@ def _sweep(target: np.ndarray, tables, max_iter: int) -> np.ndarray:
         even = parity_signs(size.bit_length() - 1) > 0
         known = v[subs]
         known[:, -1] = 0.0
-        q0 = fwht(known) / size
+        q0 = _butterfly(known) / size
         lo, hi = np.max(-q0[:, even], axis=1), np.min(q0[:, ~even], axis=1)
         width = hi - lo
         closed = np.flatnonzero(~(width > 0))
@@ -404,10 +405,10 @@ def _newton_pass(p: np.ndarray, lattice: np.ndarray, r: np.ndarray, tables) -> n
         size = subs.shape[1]
         q = lattice[cells]
         floor = q.min(axis=1)
-        rows = fwht(parity_signs(size.bit_length() - 1) * (floor[:, None] / q))
+        rows = _butterfly(parity_signs(size.bit_length() - 1) * (floor[:, None] / q))
         lower = (rows[:, :-1] * dv[subs[:, :-1]]).sum(axis=1)
         dv[masks] = -(r[masks] * size * floor + lower) / rows[:, -1]
-    return p * np.exp(fwht(dv) / (p.size * p))
+    return p * np.exp(_butterfly(dv) / (p.size * p))
 
 
 def _rescale(p: np.ndarray, log_product: float) -> np.ndarray:

@@ -76,36 +76,36 @@ def parity(cell: Sequence[int]) -> Literal["even", "odd"]:
     return "even" if cell_to_index(cell).bit_count() % 2 == 0 else "odd"
 
 
-@functools.lru_cache(maxsize=256)
-def parity_signs(k: int, mask: int | None = None) -> np.ndarray:
-    """Read-only vector of +/-1 over linear indices t: ``(-1)^popcount(t & mask)``.
+@functools.lru_cache(maxsize=MAX_DIM + 1)
+def parity_signs(k: int) -> np.ndarray:
+    """Read-only vector of +/-1 over linear indices: +1 on even cells, -1 on odd ones.
 
-    Without a mask every variable counts, so the vector is +1 on even cells
-    and -1 on odd ones (``parity_signs(k) > 0`` marks the even cells).  With
-    a mask integer ``m`` only the variables of ``m`` count: row ``m`` of the
-    Sylvester-ordered Hadamard matrix, the signs of the mask-m contrast.
-    Vectors are memoized per ``(k, mask)`` in a bounded cache and shared
-    between callers, hence read-only.
+    ``parity_signs(k) > 0`` marks the even cells.  Vectors are memoized per
+    k and shared between callers, hence read-only.
     """
-    idx = np.arange(2**k, dtype=np.uint64)
-    if mask is not None:
-        idx &= np.uint64(mask)
-    signs = np.where(np.bitwise_count(idx) % 2 == 0, 1.0, -1.0)
+    signs = np.where(np.bitwise_count(np.arange(2**k)) % 2 == 0, 1.0, -1.0)
     signs.flags.writeable = False
     return signs
+
+
+def _float_range_shift(largest, n: int):
+    """The ``s`` at which ``n`` magnitudes up to ``largest`` sum below 2^1022 when scaled by 2^-s.
+
+    ``largest`` is a float or an array of them; ``s <= 0`` needs no scaling.
+    """
+    return np.frexp(largest)[1] + (n - 1).bit_length() - 1022
 
 
 def _finite_totals(entries: np.ndarray) -> np.ndarray:
     """``entries`` scaled by ``2^-s`` along the last axis so that each row's total is finite.
 
     ``s`` is the least shift, per row, that keeps the total below 2^1022
-    (from the largest entry's binary exponent, as in ``paramset._lor_lattice``),
-    so rows that cannot overflow come back as they are, bit for bit.  A
-    scaled row keeps every ratio of its entries unless an entry turns
-    subnormal.
+    (:func:`_float_range_shift`), so rows that cannot overflow come back as
+    they are, bit for bit.  A scaled row keeps every ratio of its entries
+    unless an entry turns subnormal.
     """
-    expo = np.frexp(entries.max(axis=-1, keepdims=True))[1]
-    shift = np.maximum(expo + (entries.shape[-1] - 1).bit_length() - 1022, 0)
+    largest = entries.max(axis=-1, keepdims=True)
+    shift = np.maximum(_float_range_shift(largest, entries.shape[-1]), 0)
     return np.ldexp(entries, -shift) if shift.any() else entries
 
 

@@ -17,7 +17,6 @@ from bintab import (
     DI,
     EX,
     LOR,
-    SIGN_TAU,
     BinaryTable,
     ParamSet,
     bahadur,
@@ -34,7 +33,6 @@ from bintab import (
     odds_ratio,
     paradox_search,
     parity,
-    parity_signs,
     prob_di_positive_exact,
     prob_di_positive_normal,
     property_battery,
@@ -44,6 +42,7 @@ from bintab import (
     simulate_decisions,
     table_with_even_mass,
 )
+from bintab.collapsibility import _first_reversal
 from oracles import conditional_equal, sign_matrix
 
 
@@ -182,31 +181,6 @@ def test_7_decomposition_bulk():
     note(7, f"10^4 decompose/recompose round-trips at 1e-12 ({elapsed:.1f}s)")
 
 
-def _di_paradox_rows(rows: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized layer/collapsed DI sign scan; True where any variable reverses."""
-    n = rows.shape[1]
-    signs = parity_signs(k).astype(float)
-    totals = rows.sum(axis=1)
-
-    def thresholded(values, scales):
-        out = np.sign(values)
-        out[np.abs(values) <= SIGN_TAU * scales] = 0.0
-        return out
-
-    paradox = np.zeros(rows.shape[0], dtype=bool)
-    idx = np.arange(n)
-    for i in range(1, k + 1):
-        bit = 1 << (k - i)
-        l1, l2 = idx[(idx & bit) == 0], idx[(idx & bit) != 0]
-        v1 = rows[:, l1] @ signs[l1]
-        v2 = rows[:, l2] @ (-signs[l2])
-        s1 = thresholded(v1, rows[:, l1].sum(axis=1))
-        s2 = thresholded(v2, rows[:, l2].sum(axis=1))
-        sc = thresholded(v1 + v2, totals)
-        paradox |= (s1 == s2) & (s1 != 0) & (sc != s1)
-    return paradox
-
-
 def test_8_di_collapsibility_exhaustive_and_random_with_witnesses():
     values = np.array([1.0, 2.0, 3.0, 5.0])
     grid = np.stack(np.meshgrid(*([values] * 8), indexing="ij")).reshape(8, -1).T
@@ -218,13 +192,11 @@ def test_8_di_collapsibility_exhaustive_and_random_with_witnesses():
     for chunk in range(10):
         rng = np.random.default_rng((800, chunk))
         rows = np.exp(rng.uniform(-3.0, 3.0, size=(100_000, 8)))
-        flags = _di_paradox_rows(rows, 3)
-        assert not flags.any()
+        assert _first_reversal(rows, 3, DI) is None
         if chunk == 0:
-            # the vectorized scan must agree with the real API row by row
-            for row, flag in zip(rows[:2000], flags[:2000]):
-                api = any(r.paradox for r in simpson_scan(BinaryTable(3, row), [DI]))
-                assert api == bool(flag)
+            # the batched scan must agree with the per-table API row by row
+            for row in rows[:2000]:
+                assert not any(r.paradox for r in simpson_scan(BinaryTable(3, row), [DI]))
         total += rows.shape[0]
     assert total == 1_000_000
 

@@ -5,6 +5,7 @@ in extended precision / cross-checked against scipy) before being frozen
 here; tests compare the implementation against them, not against itself.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -411,3 +412,65 @@ class TestBahadurRows:
             z1, mus1 = _bahadur_z(row, k)
             assert z1.tobytes() == z[j].tobytes()
             assert mus1.tobytes() == mus[:, j].tobytes()
+
+
+def _measure_corpus():
+    """Seeded ``(entries, k, kind)`` over every kind of kernel branch, k = 0..8.
+
+    Each k draws entries near 1 and entries spread over 2000 binades, so the
+    corpus holds cancelling sums, errors of ``h`` and ``d``, and overflows;
+    the tables of :class:`TestSumsBeyondFloatRange` close it.
+    """
+    rng = np.random.default_rng(1414)
+    kinds = (LOR, DI, EX, ContrastKind("sqrt", math.sqrt),
+             AggregateContrastKind("log", math.log), BAHADUR)
+    for k in range(9):
+        for _ in range(12):
+            wide = np.ldexp(rng.uniform(1.0, 2.0, 2**k), rng.integers(-1000, 1000, 2**k))
+            for entries in (rng.uniform(0.05, 20.0, 2**k), wide):
+                for kind in kinds:
+                    if kind is not BAHADUR or k >= 2:
+                        yield entries, k, kind
+    top = np.nextafter(1e308, math.inf)
+    for entries in ([1e308] * 4, [1e308, 1e308, 1e308, top], [1e308, 1e308, 1e308, 1e300],
+                    [1e308, 1.0, 1.0, 1e308], [1e308] * 8):
+        for kind in (LOR, DI, EX, AggregateContrastKind("log", math.log), BAHADUR):
+            yield np.array(entries), len(entries).bit_length() - 1, kind
+
+
+class TestMeasureBits:
+    """``_measure``'s values, scales and errors, pinned bit for bit."""
+
+    # SHA-256 of the records below, computed once and frozen
+    DIGEST = "a9118d46edab6911d96366cb74646c7f11278d8ddfb27d046c1816d88e6834e6"
+
+    def test_corpus_digest(self):
+        records = []
+        for entries, k, kind in _measure_corpus():
+            try:
+                value, scale = _measure(entries, k, kind)
+                records.append(f"{float(value).hex()} {float(scale).hex()}")
+            except EvaluationError as exc:
+                records.append(f"{type(exc).__name__}: {exc}")
+        assert len(records) == 1273
+        assert hashlib.sha256("\n".join(records).encode()).hexdigest() == self.DIGEST
+
+    @pytest.mark.parametrize("kind, error, message", [
+        (ContrastKind("log-", lambda x: math.log(-x)), EvaluationError,
+         "h failed on a table entry: math domain error"),
+        (ContrastKind("huge", lambda x: 10**400), EvaluationError,
+         "h failed on a table entry: int too large to convert to float"),
+        (ContrastKind("inf", lambda x: math.inf), EvaluationError,
+         "h produced a non-finite value on a table entry"),
+        (ContrastKind("none", lambda x: None), TypeError, "float() argument must be"),
+        (AggregateContrastKind("log-", lambda x: math.log(-x)), EvaluationError,
+         "d failed on a parity-class total: math domain error"),
+        (AggregateContrastKind("nan", lambda x: math.nan), EvaluationError,
+         "d produced a non-finite value on a parity-class total"),
+        (AggregateContrastKind("none", lambda x: None), TypeError, "float() argument must be"),
+    ], ids=lambda p: getattr(p, "name", None))
+    def test_raising_h_and_d(self, kind, error, message):
+        with pytest.raises(Exception) as got:
+            _measure(np.array([1.0, 2.0, 3.0, 4.0]), 2, kind)
+        assert type(got.value) is error
+        assert str(got.value).startswith(message)

@@ -25,9 +25,7 @@ from bintab import (
     full_params,
     fwht,
     lor_inverse,
-    masks_by_dimension,
     paramset_to_dict,
-    parity_signs,
     random_table,
 )
 from oracles import naive_full_params, sign_matrix
@@ -75,9 +73,7 @@ class TestSignSystem:
         assert np.array_equal(a @ a.T, (2**k) * np.eye(2**k))
 
     def test_mask_signs_match_matrix_rows(self):
-        a = sign_matrix(3)
-        for m in range(8):
-            assert np.array_equal(parity_signs(3, m), a[m])
+        assert np.array_equal(fwht(np.eye(8)), sign_matrix(3))
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=100)
@@ -106,12 +102,6 @@ class TestSignSystem:
     def test_fwht_rejects_non_power_of_two(self):
         with pytest.raises(InvalidTableError):
             fwht(np.zeros(3))
-
-    def test_mask_order_nondecreasing_dimension(self):
-        order = masks_by_dimension(3)
-        assert order == [0, 1, 2, 4, 3, 5, 6, 7]
-        dims = [m.bit_count() for m in order]
-        assert dims == sorted(dims)
 
 
 class TestDiParams:
