@@ -20,8 +20,10 @@ kernel ``assoc._measure_rows``; a block holds at most ``_CELL_BUDGET``
 cells per stack (one trial at least), so memory does not grow with the
 trial budget.  The kernel settles every sign and comparison exactly as the
 scalar ``_measure`` would (rows its error bound cannot settle are measured
-by ``_measure``), and the outcomes are read in trial order, so witnesses,
-failure counts and typed errors are those of one trial at a time.
+by ``_measure``).  A search's outcome is the first trial that reverses or
+fails, and a battery replays its irregular trials through the one-trial
+checks in order, so witnesses, failure counts and typed errors are those
+of one trial at a time.
 """
 
 from __future__ import annotations
@@ -150,35 +152,32 @@ def paradox_search(
 
 
 def _first_reversal(rows: np.ndarray, k: int, kind: AssociationKind) -> Optional[int]:
-    """Index of the first row whose scan reverses, or None.
+    """Index of the first row whose scan reverses or raises, or None.
 
-    Variables are measured one at a time, each as one stack of both layers
-    and the collapse of every row still in play; a reversal or an error
-    takes the rows after it out of play.  A row whose scan raises raises its
-    first error in scan order, if no earlier row reverses.
+    Each variable is measured as one stack of both layers and the collapse
+    of every row.  The first row that reverses or meets an error is the
+    hit; if it met one, its first error in scan order (variable, then lower
+    layer, upper layer, collapse) is raised, as ``simpson_scan`` raises it.
     """
-    arr = rows.reshape((len(rows),) + (2,) * k)
-    n = len(rows)
-    stopped = np.zeros(n, dtype=bool)
+    count = len(rows)
+    arr = rows.reshape((count,) + (2,) * k)
+    hit = np.zeros(count, dtype=bool)
     errors: dict = {}
     for axis in range(1, k + 1):
-        lower = arr[(slice(0, n),) + (slice(None),) * (axis - 1) + (0,)]
-        upper = arr[(slice(0, n),) + (slice(None),) * (axis - 1) + (1,)]
-        parts = np.concatenate((lower, upper, lower + upper)).reshape(3 * n, -1)
+        lower, upper = arr.take(0, axis), arr.take(1, axis)
+        parts = np.concatenate((lower, upper, lower + upper)).reshape(3 * count, -1)
         measured = _measure_rows(parts, k - 1, kind)
-        for index in sorted(measured.errors):  # part-major: a row's first part first
-            errors.setdefault(index % n, measured.errors[index])
-        first, second, collapsed = measured.signs.reshape(3, n)
-        stopped[:n] |= (first == second) & (first != 0) & (collapsed != first)
-        stopped[list(errors)] = True
-        if stopped[:n].any():
-            n = int(np.argmax(stopped)) + 1
-            errors = {row: exc for row, exc in errors.items() if row < n}
-    if not stopped[:n].any():
+        for index in sorted(measured.errors):  # part-major: a row's lower layer first
+            errors.setdefault(index % count, measured.errors[index])
+        first, second, collapsed = measured.signs.reshape(3, count)
+        hit |= (first == second) & (first != 0) & (collapsed != first)
+    hit[list(errors)] = True
+    if not hit.any():
         return None
-    if n - 1 in errors:
-        raise errors[n - 1]
-    return n - 1
+    row = int(np.argmax(hit))
+    if row in errors:
+        raise errors[row]
+    return row
 
 
 @dataclass(frozen=True)
@@ -254,9 +253,10 @@ def _battery_failures(draws: list, k: int, kind: AssociationKind):
     """Yield ``(property, entries, operation)`` for each failure of a block of trials.
 
     The trials' tables and their constant, bumped, swapped and rescaled
-    tables are measured as stacks.  Failures come in trial order, and a
-    trial whose checks raise raises the error that checking it alone would
-    raise first.
+    tables are measured as stacks.  A trial is regular when every check
+    passes and no stack has an error on it; every other trial runs its
+    checks in the order of a one-trial battery, raising the first error and
+    yielding the failures as they come.
     """
     count, n = len(draws), 2**k
     rows = np.stack([entries for entries, _, _, _ in draws])
@@ -276,50 +276,32 @@ def _battery_failures(draws: list, k: int, kind: AssociationKind):
     arr = rows.reshape((count,) + (2,) * k)
     swaps = [_measure_rows(np.flip(arr, axis).reshape(count, n), k, kind)
              for axis in range(1, k + 1)]
-    monotone = (constant.signs != 0) | ~_rises(base, bumped, rows, bumped_rows, k, kind)
-    unflipped = np.array([swap.signs for swap in swaps]) != -base.signs
-    variable = np.argmax(unflipped, axis=0) + 1  # the first swap that does not flip
+    rises = _rises(base, bumped, rows, bumped_rows, k, kind)
     invariant = _matches(base, rescaled, rows, rescaled_rows, k, kind)
-    invariant[list(rescaled.errors)] = False  # rescaled out of the kind's evaluable range
-    erred = np.zeros(count, dtype=bool)
+    flips = np.all([swap.signs == -base.signs for swap in swaps], axis=0)
+    regular = (constant.signs == 0) & rises & flips & invariant
     for measured in (base, constant, bumped, rescaled, *swaps):
-        erred[list(measured.errors)] = True
-    irregular = monotone | unflipped.any(axis=0) | ~invariant | erred
-    for j in np.flatnonzero(irregular).tolist():
-        if erred[j]:
-            error = _trial_error(j, base, constant, bumped, swaps, rescaled)
-            if error is not None:
-                raise error
+        regular[list(measured.errors)] = False
+    for j in np.flatnonzero(~regular).tolist():
         entries, const_value, factor, rescales = draws[j]
-        if monotone[j]:
+        for measured in (base, constant):
+            if j in measured.errors:
+                raise measured.errors[j]
+        if constant.signs[j] == 0 and j in bumped.errors:
+            raise bumped.errors[j]
+        if constant.signs[j] != 0 or not rises[j]:
             yield "monotone", entries, {"constant": const_value, "factor": factor}
-        if unflipped[:, j].any():
-            yield "swap_antisymmetry", entries, {"variable": int(variable[j])}
-        if not invariant[j]:
+        for variable, swap in enumerate(swaps, 1):
+            if j in swap.errors:
+                raise swap.errors[j]
+            if swap.signs[j] != -base.signs[j]:
+                yield "swap_antisymmetry", entries, {"variable": variable}
+                break
+        error = rescaled.errors.get(j)  # out of the kind's evaluable range: a failed check
+        if error is not None and not isinstance(error, EvaluationError):
+            raise error
+        if error is not None or not invariant[j]:
             yield "conditional_invariance", entries, {"rescales": rescales}
-
-
-def _trial_error(j: int, base: _Rows, constant: _Rows, bumped: _Rows, swaps: list,
-                 rescaled: _Rows) -> Optional[Exception]:
-    """The error that checking trial ``j`` alone raises first, or None.
-
-    The checks measure the table, the constant table, the bumped table
-    (only when the constant one has sign 0), the swaps up to the first that
-    does not flip, then the rescaled table, whose EvaluationError is a
-    failed check rather than an error.
-    """
-    for measured in (base, constant):
-        if j in measured.errors:
-            return measured.errors[j]
-    if constant.signs[j] == 0 and j in bumped.errors:
-        return bumped.errors[j]
-    for swap in swaps:
-        if j in swap.errors:
-            return swap.errors[j]
-        if swap.signs[j] != -base.signs[j]:
-            break
-    error = rescaled.errors.get(j)
-    return None if isinstance(error, EvaluationError) else error
 
 
 def _rises(base: _Rows, bumped: _Rows, rows, bumped_rows, k: int, kind) -> np.ndarray:

@@ -176,19 +176,27 @@ def full_params(table: BinaryTable, kind) -> ParamSet:
 
 
 def di_forward_fast(table: BinaryTable) -> ParamSet:
-    """All DI parameters in ``O(k 2^k)`` via the butterfly transform."""
-    return ParamSet(table.k, "di", fwht(table.entries))
+    """All DI parameters in ``O(k 2^k)`` via the butterfly transform.
+
+    Raises :class:`EvaluationError` when the total passes the float range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        values = fwht(table.entries)
+    if not math.isfinite(values[0]):  # the total bounds every value
+        raise EvaluationError("the DI parameters leave the float range with the total")
+    return ParamSet(table.k, "di", values)
 
 
 def di_inverse(params: ParamSet) -> BinaryTable:
-    """Unique table with the given DI parameters: ``p = A v / 2^k``.
+    """Unique table with the given DI parameters: ``p = A (v / 2^k)``.
 
+    Scaling first is exact and keeps every sum within the float range.
     Raises :class:`NonRealizableParamsError` when the solution is not
     strictly positive (the values do not come from a positive table).
     """
     if params.kind != "di":
         raise InvalidTableError(f"di_inverse needs kind 'di', got {params.kind!r}")
-    entries = fwht(params.values) / (2**params.k)
+    entries = fwht(params.values / 2**params.k)
     if not np.all(entries > 0):
         bad = int(np.argmin(entries))
         raise NonRealizableParamsError(
@@ -208,15 +216,15 @@ def lor_inverse(params: ParamSet, tol: float = 1e-8, max_iter: int = 10_000) -> 
     solved, the marginal of a d-mask is known up to its own DI value, and
     its LOR rises strictly in that value, so each mask takes one bracketed
     Newton root, batched over the masks of a dimension.  Newton passes then
-    refine the table (:func:`_newton_pass`): the residual comes from the
-    marginal lattice, the linear solve is the same sweep linearized, and
+    refine the table (:func:`_newton_pass`): the residuals are those of
+    :func:`_lor_lattice`, the linear solve is the same sweep linearized, and
     each correction is applied multiplicatively.  Last, the table is
     rescaled in logs to the target log-product ``params.values[0]``.  Time
     and memory are ``O(k 3^k)``.
 
     ``max_iter`` bounds the Newton iterations of each dimension's roots and
     the number of refinement passes; the passes also stop at the first one
-    that does not lower the residual (the rounding floor).
+    that sends a cell out of the float range or does not lower the residual.
 
     Raises :class:`NonRealizableParamsError` naming the first mask whose
     fitted lower margins admit no positive marginal,
@@ -233,14 +241,18 @@ def lor_inverse(params: ParamSet, tol: float = 1e-8, max_iter: int = 10_000) -> 
     tables = (_memo_mask_tables if k <= _MEMO_K else _mask_tables)(k)
     with np.errstate(all="ignore"):
         p = _sweep(target, tables, max_iter)
-        residual, lattice, r = _fit_residual(p, target)
+        r = _lor_lattice(p) - target
+        residual = np.max(np.abs(r[1:]), initial=0.0)
         passes = 0
         while residual >= tol and passes < max_iter:
-            trial = _newton_pass(p, lattice, r, tables)
-            trial_residual, trial_lattice, trial_r = _fit_residual(trial, target)
+            trial = _newton_pass(p, r, tables)
+            if not np.all((trial > 0) & (trial < np.inf)):  # a cell left the float range
+                break
+            trial_r = _lor_lattice(trial) - target
+            trial_residual = np.max(np.abs(trial_r[1:]), initial=0.0)
             if not trial_residual < residual:
                 break
-            p, residual, lattice, r = trial, trial_residual, trial_lattice, trial_r
+            p, residual, r = trial, trial_residual, trial_r
             passes += 1
         p = _rescale(p, float(target[0]))
     residual = float(np.max(np.abs(_lor_lattice(p) - target)))
@@ -381,16 +393,8 @@ def _logistic_roots(low, high, width, tau, max_iter: int) -> np.ndarray:
     return x
 
 
-def _fit_residual(p: np.ndarray, target: np.ndarray):
-    """Max LOR deviation over the nonempty masks, the marginal lattice and the deviations."""
-    lattice = _marginal_lattice(p)
-    r = _fold_contrasts(np.log(lattice), p.size.bit_length() - 1) - target
-    r[0] = 0.0
-    return float(np.max(np.abs(r))), lattice, r
-
-
-def _newton_pass(p: np.ndarray, lattice: np.ndarray, r: np.ndarray, tables) -> np.ndarray:
-    """One Newton step on the LOR deviations ``r``, solved in DI coordinates.
+def _newton_pass(p: np.ndarray, r: np.ndarray, tables) -> np.ndarray:
+    """One Newton step on the LOR deviations ``r`` (nonempty masks), solved in DI coordinates.
 
     The LOR of mask m depends on the DI values of m's submasks only, so the
     linear system is triangular and solves by the sweep of :func:`_sweep`:
@@ -400,7 +404,7 @@ def _newton_pass(p: np.ndarray, lattice: np.ndarray, r: np.ndarray, tables) -> n
     ``p * exp(dp / p)``, which keeps every cell positive and its relative
     precision.
     """
-    dv = np.zeros(p.size)
+    lattice, dv = _marginal_lattice(p), np.zeros(p.size)
     for masks, subs, cells in tables:
         size = subs.shape[1]
         q = lattice[cells]

@@ -219,14 +219,10 @@ def simulate_decisions(
     k = true_table.k
 
     tally = {1: 0, 0: 0, -1: 0}
-    done = 0
-    chunk_index = 0
-    while done < replications:
+    for chunk_index, done in enumerate(range(0, replications, CHUNK)):
         rows = min(CHUNK, replications - done)
         rng = np.random.default_rng((seed, chunk_index))
         signs = _sample_sign(_multinomial_rows(rng, probs, N, rows), k, kind)
         for s in tally:
             tally[s] += int(np.count_nonzero(signs == s))
-        done += rows
-        chunk_index += 1
     return {SIGN_LABELS[s]: tally[s] / replications for s in (1, 0, -1)}

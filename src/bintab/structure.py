@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidTableError
+from .errors import EvaluationError, InvalidTableError
 from .table import BinaryTable, Cell, index_to_cell, parity_signs
 
 
@@ -43,15 +43,20 @@ def canonicalize(table: BinaryTable) -> CanonicalTrace:
     log terms to the two parity classes, so the LOR never moves.  After
     step i every entry outside the j_1 = ... = j_i = 1 block is 1; after
     step k only (1, ..., 1) remains, holding the odds ratio.
+
+    Raises :class:`EvaluationError` naming the step whose division sends an
+    entry beyond the float range or to 0.
     """
     k = table.k
     arr = table.array()
     steps = []
-    for i in range(1, k + 1):
-        axis = i - 1
-        divisor = np.take(arr, [1], axis=axis)
-        arr = arr / divisor
-        steps.append(Step(i, BinaryTable.from_array(arr)))
+    with np.errstate(over="ignore", under="ignore"):  # the table built below checks
+        for i in range(1, k + 1):
+            arr = arr / np.take(arr, [1], axis=i - 1)
+            try:
+                steps.append(Step(i, BinaryTable.from_array(arr)))
+            except InvalidTableError as exc:  # the input was valid: inf or 0 from the division
+                raise EvaluationError(f"canonical step {i} leaves the float range: {exc}") from exc
     final = steps[-1].table if steps else table
     return CanonicalTrace(steps=tuple(steps), final=final)
 
@@ -93,7 +98,9 @@ def decompose(table: BinaryTable) -> Decomposition:
     components, necessarily all in the surviving class.  Finally s is
     spread evenly: every cell of every component gains
     ``s / (#pair components + #peaks)``, keeping components positive and
-    making the entrywise sum reproduce the input.
+    making the entrywise sum reproduce the input.  Raises
+    :class:`EvaluationError` when that increment is below the smallest
+    normal float, where it would keep too few digits for the sum to do so.
     """
     k = table.k
     n = 2**k
@@ -120,6 +127,8 @@ def decompose(table: BinaryTable) -> Decomposition:
         case = "positive" if even[peak_cells[0]] else "negative"
 
     increment = s / (len(pairs) + 1 + len(peak_cells))
+    if increment < np.finfo(np.float64).tiny:  # too few digits to sum back exactly
+        raise EvaluationError(f"increment {increment!r} is below the smallest normal float")
 
     def lifted(base: np.ndarray) -> BinaryTable:
         return BinaryTable(k, base + increment)

@@ -177,9 +177,8 @@ class BinaryTable:
         k, arr = _frozen_vector(self.k, self.entries, "entries")
         if not (arr > 0).all():
             bad = int(np.argmin(arr))
-            raise InvalidTableError(
-                f"entry {arr[bad]!r} at cell {index_to_cell(bad, k)} is not strictly positive"
-            )
+            raise InvalidTableError(f"entry {float(arr[bad])!r} at cell {index_to_cell(bad, k)} "
+                                    "is not strictly positive")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "entries", arr)
 

@@ -1,6 +1,7 @@
 """Simpson's paradox detection, DI additivity, the property battery and seed checks."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from bintab import (
     BinaryTable,
     BintabError,
     ContrastKind,
+    EvaluationError,
     InvalidTableError,
     collapse_check,
     evaluate,
@@ -25,7 +27,7 @@ from bintab import (
     simpson_scan,
     simulate_decisions,
 )
-from bintab.collapsibility import PropertyBatterySummary
+from bintab.collapsibility import PropertyBatterySummary, _first_reversal, _random_entries
 from oracles import additivity_sign_check, scalar_battery, scalar_search
 
 # three binary variables; collapsing over the third reverses EX but not LOR
@@ -322,6 +324,34 @@ class TestBlockedLoopsMatchScalarOracle:
         assert s.failures["monotone"] > 0 and s.failures["conditional_invariance"] > 0
         with pytest.raises(InvalidTableError, match="bahadur requires k >= 2"):
             paradox_search(BAHADUR, 2, 60, 0)
+
+    @pytest.mark.parametrize("after", [0, 1], ids=["alone", "before-a-reversal"])
+    def test_row_reversing_before_its_scan_fails(self, after):
+        # reverses over variable 1 and fails on variable 3, where a scan of
+        # the row alone raises; row (1, 18) only reverses
+        fragile = ORACLE_KINDS["fragile"]
+        row = _random_entries(3, np.random.default_rng((1, 13)))
+        reverses = _random_entries(3, np.random.default_rng((1, 18)))
+        assert collapse_check(BinaryTable(3, row), fragile, 1).paradox
+        assert any(r.paradox for r in simpson_scan(BinaryTable(3, reverses), [fragile]))
+        message = "h failed on a table entry: fragile entry 26.65036701114654"
+        with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
+            simpson_scan(BinaryTable(3, row), [fragile])
+        with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
+            _first_reversal(np.stack([row, reverses][: after + 1]), 3, fragile)
+
+    def test_first_error_of_a_variable_is_its_lower_layers(self):
+        # both layers of variable 1 fail; random entries never fail in a layer
+        def small_log(x):
+            if x < 1.0:
+                raise ValueError(f"small entry {x!r}")
+            return math.log(x)
+
+        kind, row = ContrastKind("small", small_log), np.array([0.5, 2.0, 0.7, 3.0])
+        for scan in (lambda: simpson_scan(BinaryTable(2, row), [kind]),
+                     lambda: _first_reversal(row[None], 2, kind)):
+            with pytest.raises(EvaluationError, match="small entry 0.5$"):
+                scan()
 
     @pytest.mark.parametrize("trials", [0, 1, 7, 8, 9, 23, 24, 25])
     def test_search_stops_at_its_budget(self, trials):

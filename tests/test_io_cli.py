@@ -225,6 +225,13 @@ class TestCliParams:
         else:
             assert json.loads(out)["error"]["type"] == "EvaluationError"
 
+    def test_full_di_beyond_float_range_exits_numeric(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        save_table(BinaryTable.from_entries([1e308] * 4), path)
+        code, out = run_cli(capsys, "params", str(path), "--kind", "di", "--full")
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "EvaluationError"
+
     def test_kind_resolved_by_name(self, capsys, table_file):
         code, out = run_cli(capsys, "params", table_file, "--kind", "DI")
         assert code == 0 and json.loads(out)["result"]["kind"] == "di"
@@ -401,6 +408,13 @@ class TestCliStructure:
         assert result["s"] == 2.0 and result["case"] == "zero"
         assert len(result["pair_components"]) == 3
         assert result["peak_components"] == []
+
+    def test_decompose_subnormal_increment_exits_numeric(self, capsys, tmp_path):
+        path = tmp_path / "tiny.json"
+        save_table(BinaryTable.from_entries([5e-324, 1.0, 1.0, 1.0]), path)
+        code, out = run_cli(capsys, "decompose", str(path))
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "EvaluationError"
 
 
 class TestCliPower:

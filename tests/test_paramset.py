@@ -138,6 +138,16 @@ class TestDiParams:
             di_inverse(ps)
         assert err.value.entries.tolist() == [3.0, -1.0]
 
+    def test_total_beyond_float_range_is_typed(self):
+        # the empty-mask value is the total, 4e308
+        with pytest.raises(EvaluationError, match="DI parameters leave the float range"):
+            full_params(BinaryTable.from_entries([1e308] * 4), "di")
+
+    def test_inverse_of_values_near_the_float_limit(self):
+        # A v passes the float range, A (v / 4) does not
+        got = di_inverse(ParamSet(2, "di", [1.5e308, 1e308, 1e308, 1e308]))
+        assert got.entries.tolist() == [1.125e308, 1.25e307, 1.25e307, 1.25e307]
+
     def test_inverse_requires_di_kind(self):
         with pytest.raises(InvalidTableError):
             di_inverse(ParamSet(1, "lor", np.zeros(2)))
@@ -255,6 +265,14 @@ class TestLorParams:
         with pytest.raises(ConvergenceError) as err:
             lor_inverse(full_params(t, "lor"), tol=1e-13, max_iter=1)
         assert err.value.residual > 0
+
+    def test_newton_pass_beyond_float_range_ends_the_passes(self):
+        # the first pass sends one cell to inf and another to 0
+        values = [-85.46220641398918, 10.91482261918614, -10.90615757215107,
+                  -22.616127909961502, -15.564220904411929, 29.500725347039282,
+                  51.33123561923685, 203.73062204185663]
+        with pytest.raises(ConvergenceError, match="after 0 refinement passes"):
+            lor_inverse(ParamSet(3, "lor", values))
 
     def test_requires_lor_kind_and_positive_tol(self):
         with pytest.raises(InvalidTableError):

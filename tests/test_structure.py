@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bintab import (
     BinaryTable,
     Decomposition,
+    EvaluationError,
     canonicalize,
     decompose,
     di,
@@ -53,6 +54,15 @@ class TestCanonicalize:
     def test_k1(self):
         trace = canonicalize(BinaryTable.from_entries([3.0, 4.0]))
         assert trace.final.entries.tolist() == [0.75, 1.0]
+
+    @pytest.mark.parametrize("entries, cause", [
+        ([1e308, 1e-308, 1.0, 1.0], "entries must be finite"),
+        ([1e-308, 1e308, 1.0, 1.0], r"entry 0\.0 at cell \(1, 1\) is not strictly positive"),
+    ], ids=["overflow", "underflow"])
+    def test_step_beyond_float_range_is_typed(self, entries, cause):
+        with pytest.raises(EvaluationError,
+                           match=f"^canonical step 2 leaves the float range: {cause}$"):
+            canonicalize(BinaryTable.from_entries(entries))
 
     def test_step_labels_run_through_variables(self):
         trace = canonicalize(random_table(4, np.random.default_rng(0)))
@@ -189,6 +199,13 @@ class TestDecompose:
     @settings(max_examples=60, deadline=None)
     def test_recompose_round_trip(self, t):
         assert recompose(decompose(t)).allclose(t, rtol=1e-12)
+
+    @pytest.mark.parametrize("entries", [[5e-324, 1.0, 1.0, 1.0], [1e-320] + [1.0] * 7],
+                             ids=["zero", "subnormal"])
+    def test_increment_below_normal_floats_is_typed(self, entries):
+        # s / 3 is 0.0 and s / 5 is 2e-321, which recomposes to 1.0005e-320
+        with pytest.raises(EvaluationError, match="below the smallest normal float"):
+            decompose(BinaryTable.from_entries(entries))
 
     def test_recompose_rejects_empty_and_mismatched(self):
         from bintab import InvalidTableError
