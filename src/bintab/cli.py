@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 invalid input, 3 numeric/convergence failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -162,6 +163,7 @@ def cmd_power(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once: building takes most of a small command's time
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bintab",

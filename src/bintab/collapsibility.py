@@ -1,10 +1,10 @@
-"""Collapsibility analysis: layer-versus-collapsed signs and property batteries.
+"""Collapsibility analysis: stratum-versus-collapsed signs and property batteries.
 
-Collapsing a table over one variable can reverse the direction of
-association reported by a parameter (Simpson's paradox).  DI is immune:
-the collapsed DI is the literal sum of the two layer DIs, so equal layer
-signs force the collapsed sign.  LOR and EX are not, and
-:func:`paradox_search` hunts for reversal witnesses at random.
+Collapsing a table over a set S of variables pools its 2^|S| strata and can
+reverse the direction of association a parameter reports (Simpson's
+paradox).  DI is immune: the collapsed DI is the literal sum of the stratum
+DIs, so equal stratum signs force its sign.  LOR and EX are not; one kernel
+serves every S, and :func:`paradox_search` hunts for witnesses at random.
 
 :func:`property_battery` stress-tests the defining properties of an
 association parameter on random tables: vanishing on constant tables plus
@@ -44,7 +44,7 @@ from .assoc import (
     thresholded_sign,
 )
 from .errors import EvaluationError
-from .table import MAX_DIM, BinaryTable, _check_count, cell_to_index
+from .table import MAX_DIM, BinaryTable, _check_count, _pair_cells
 
 #: Entry cells in one stack of rows that a search or battery measures at once
 #: (64 KiB of float64).  A block holds ``_CELL_BUDGET >> k`` trials, at least
@@ -67,8 +67,33 @@ def random_table(k: int, rng: np.random.Generator) -> BinaryTable:
     return BinaryTable(k, _random_entries(k, rng))
 
 
-def _block_size(k: int) -> int:
-    return max(1, _CELL_BUDGET >> k)
+def _keyed_blocks(k: int, trials: int, seed: int, first: int, draw):
+    """Lists of ``draw(k, rng)`` for trials 0..``trials``-1, ``rng`` keyed by (seed, trial):
+    ``first`` trials, then twice as many each time, within the cell budget."""
+    start, size = 0, first
+    while start < trials:
+        stop = min(trials, start + min(size, max(1, _CELL_BUDGET >> k)))
+        yield [draw(k, np.random.default_rng((seed, trial))) for trial in range(start, stop)]
+        start, size = stop, 2 * size
+
+
+def _strata(arr: np.ndarray, axes: tuple[int, ...]) -> list[np.ndarray]:
+    """The 2^|S| strata of ``arr`` over the axes S in cell order (the highest axis
+    split first, so the lower axes keep their numbers), then their sum."""
+    strata = [arr]
+    for axis in sorted(axes, reverse=True):
+        strata = [part.take(j, axis) for j in (0, 1) for part in strata]
+    return strata + [sum(strata[1:], strata[0])]
+
+
+def _reverses(signs):
+    """The reversal rule on the signs of ``_strata``'s parts, numbers or arrays:
+    every stratum has the same nonzero sign, and the collapse does not."""
+    first = signs[0]
+    agree = first != 0
+    for stratum in signs[1:-1]:
+        agree &= stratum == first
+    return agree & (signs[-1] != first)
 
 
 @dataclass(frozen=True)
@@ -91,22 +116,13 @@ def collapse_check(table: BinaryTable, kind: AssociationKind | str, i: int) -> C
     """
     kind = resolve_kind(kind)
     i = _check_count("variable", i, 1, table.k)
-    arr = table.array()
-    first, second = arr.take(0, i - 1), arr.take(1, i - 1)
     with np.errstate(over="ignore"):  # an infinite collapsed entry fails in _measure
-        parts = (first, second, first + second)
+        parts = _strata(table.array(), (i - 1,))
     measured = [_measure(part.reshape(-1), table.k - 1, kind) for part in parts]
     values = tuple(value for value, _ in measured)
     signs = tuple(thresholded_sign(value, scale) for value, scale in measured)
-    paradox = signs[0] == signs[1] != 0 and signs[2] != signs[0]
-    return CollapseReport(
-        variable=i,
-        kind=kind.name,
-        values=values,
-        layer_signs=(signs[0], signs[1]),
-        collapsed_sign=signs[2],
-        paradox=paradox,
-    )
+    return CollapseReport(variable=i, kind=kind.name, values=values, layer_signs=signs[:2],
+                          collapsed_sign=signs[2], paradox=_reverses(signs))
 
 
 def simpson_scan(
@@ -114,11 +130,7 @@ def simpson_scan(
 ) -> list[CollapseReport]:
     """One collapse report per (variable, kind) pair."""
     kinds = [resolve_kind(kind) for kind in kinds]
-    return [
-        collapse_check(table, kind, i)
-        for i in range(1, table.k + 1)
-        for kind in kinds
-    ]
+    return [collapse_check(table, kind, i) for i in range(1, table.k + 1) for kind in kinds]
 
 
 def paradox_search(
@@ -138,39 +150,25 @@ def paradox_search(
     k = _check_count("k", k, 2, MAX_DIM)  # one variable to collapse, one left
     trials = _check_count("trials", trials)
     seed = _check_count("seed", seed)
-    start, size = 0, _FIRST_BLOCK
-    while start < trials:
-        stop = min(trials, start + min(size, _block_size(k)))
-        rows = np.empty((stop - start, 2**k))
-        for j, trial in enumerate(range(start, stop)):
-            rows[j] = _random_entries(k, np.random.default_rng((seed, trial)))
+    for rows in map(np.stack, _keyed_blocks(k, trials, seed, _FIRST_BLOCK, _random_entries)):
         hit = _first_reversal(rows, k, kind)
         if hit is not None:
             return BinaryTable(k, rows[hit])
-        start, size = stop, 2 * size
     return None
 
 
 def _first_reversal(rows: np.ndarray, k: int, kind: AssociationKind) -> Optional[int]:
     """Index of the first row whose scan reverses or raises, or None.
 
-    Each variable is measured as one stack of both layers and the collapse
-    of every row.  The first row that reverses or meets an error is the
-    hit; if it met one, its first error in scan order (variable, then lower
+    If that row raised, its first error in scan order (variable, then lower
     layer, upper layer, collapse) is raised, as ``simpson_scan`` raises it.
     """
-    count = len(rows)
-    arr = rows.reshape((count,) + (2,) * k)
-    hit = np.zeros(count, dtype=bool)
-    errors: dict = {}
-    for axis in range(1, k + 1):
-        lower, upper = arr.take(0, axis), arr.take(1, axis)
-        parts = np.concatenate((lower, upper, lower + upper)).reshape(3 * count, -1)
-        measured = _measure_rows(parts, k - 1, kind)
-        for index in sorted(measured.errors):  # part-major: a row's lower layer first
-            errors.setdefault(index % count, measured.errors[index])
-        first, second, collapsed = measured.signs.reshape(3, count)
-        hit |= (first == second) & (first != 0) & (collapsed != first)
+    arr = rows.reshape((len(rows),) + (2,) * k)
+    hit, errors = np.zeros(len(rows), dtype=bool), {}
+    for variable in range(1, k + 1):
+        reversed_rows, first_errors = _reversals(arr, k, kind, (variable,))
+        hit |= reversed_rows
+        errors = {**first_errors, **errors}  # a row keeps its first variable's error
     hit[list(errors)] = True
     if not hit.any():
         return None
@@ -178,6 +176,19 @@ def _first_reversal(rows: np.ndarray, k: int, kind: AssociationKind) -> Optional
     if row in errors:
         raise errors[row]
     return row
+
+
+def _reversals(arr: np.ndarray, k: int, kind: AssociationKind, axes: tuple[int, ...]):
+    """Which tables of a ``(B,) + (2,) * k`` stack reverse when collapsed over ``axes``.
+
+    ``axes`` are variables, the stack's axes past the first.  Returns the
+    reversal mask and each failing table's first error in part order.
+    """
+    count, rest = len(arr), k - len(axes)
+    measured = _measure_rows(np.concatenate(_strata(arr, axes)).reshape(-1, 2**rest), rest, kind)
+    # part-major rows, written last to first: a table keeps its first part's error
+    errors = {index % count: e for index, e in sorted(measured.errors.items(), reverse=True)}
+    return _reverses(measured.signs.reshape(-1, count)), errors
 
 
 @dataclass(frozen=True)
@@ -221,18 +232,13 @@ def property_battery(
     witness_cap = _check_count("witness_cap", witness_cap)
     counts = {name: 0 for name in PropertyBatterySummary.PROPERTIES}
     witnesses: dict[str, list[dict]] = {name: [] for name in PropertyBatterySummary.PROPERTIES}
-    size = _block_size(k)
-    for start in range(0, trials, size):
-        draws = [_battery_draws(k, np.random.default_rng((seed, trial)))
-                 for trial in range(start, min(trials, start + size))]
+    for draws in _keyed_blocks(k, trials, seed, _CELL_BUDGET, _battery_draws):
         for name, entries, operation in _battery_failures(draws, k, kind):
             counts[name] += 1
             if len(witnesses[name]) < witness_cap:
                 witnesses[name].append({"table": BinaryTable(k, entries), **operation})
-    return PropertyBatterySummary(
-        kind=kind.name, k=k, trials=trials, seed=seed,
-        failures=counts, witnesses=witnesses,
-    )
+    return PropertyBatterySummary(kind=kind.name, k=k, trials=trials, seed=seed,
+                                  failures=counts, witnesses=witnesses)
 
 
 def _battery_draws(k: int, rng: np.random.Generator) -> tuple:
@@ -266,9 +272,7 @@ def _battery_failures(draws: list, k: int, kind: AssociationKind):
     rescaled_rows = rows.copy()
     for row, (_, _, _, rescales) in zip(rescaled_rows, draws):
         for op in rescales:
-            i, suffix = op["variable"], op["suffix"]
-            first = cell_to_index(suffix[: i - 1] + (1,) + suffix[i - 1 :])
-            row[[first, first | 1 << (k - i)]] *= op["factor"]  # as rescale_conditional_pair
+            row[_pair_cells(k, op["variable"], op["suffix"])] *= op["factor"]
     base = _measure_rows(rows, k, kind)
     constant = _measure_rows(constant_rows, k, kind)
     bumped = _measure_rows(bumped_rows, k, kind)
@@ -276,8 +280,8 @@ def _battery_failures(draws: list, k: int, kind: AssociationKind):
     arr = rows.reshape((count,) + (2,) * k)
     swaps = [_measure_rows(np.flip(arr, axis).reshape(count, n), k, kind)
              for axis in range(1, k + 1)]
-    rises = _rises(base, bumped, rows, bumped_rows, k, kind)
-    invariant = _matches(base, rescaled, rows, rescaled_rows, k, kind)
+    rises = _settled(_rise, base, bumped, rows, bumped_rows, k, kind)
+    invariant = _settled(_invariance, base, rescaled, rows, rescaled_rows, k, kind)
     flips = np.all([swap.signs == -base.signs for swap in swaps], axis=0)
     regular = (constant.signs == 0) & rises & flips & invariant
     for measured in (base, constant, bumped, rescaled, *swaps):
@@ -304,37 +308,30 @@ def _battery_failures(draws: list, k: int, kind: AssociationKind):
             yield "conditional_invariance", entries, {"rescales": rescales}
 
 
-def _rises(base: _Rows, bumped: _Rows, rows, bumped_rows, k: int, kind) -> np.ndarray:
-    """Whether each bumped value exceeds its base value as ``_measure`` values compare."""
-    gap = bumped.values - base.values
-    unsure = np.flatnonzero(np.abs(gap) <= 2.0 * (base.bounds + bumped.bounds))
-    _settle(base, rows, k, kind, unsure)
-    _settle(bumped, bumped_rows, k, kind, unsure)
-    return bumped.values > base.values
+def _settled(test, base: _Rows, other: _Rows, rows, other_rows, k: int, kind) -> np.ndarray:
+    """``test(base, other)``'s outcome per row as ``_measure`` values decide it.
 
-
-def _matches(base: _Rows, rescaled: _Rows, rows, rescaled_rows, k: int, kind) -> np.ndarray:
-    """Invariance up to FP noise, as ``_measure`` values compare.
-
-    A rescaled value matches when it is within 1e-9 of the larger of the two
-    values, or when both lie below the sign floor of the base table.  Rows
-    where the bounds cannot settle a comparison are measured exactly first.
+    ``test`` returns its outcome and its comparisons' margins; rows with a
+    margin within twice the bounds are measured exactly and tested again.
     """
-    def compare():
-        before, after = base.values, rescaled.values
-        drift = np.abs(after - before)
-        tolerance = 1e-9 * np.maximum(np.abs(before), np.abs(after))
-        floor = SIGN_TAU * base.scales
-        return drift, tolerance, floor, np.abs(before), np.abs(after)
-
-    drift, tolerance, floor, before, after = compare()
-    error = 2.0 * (base.bounds + rescaled.bounds)
-    unsure = np.flatnonzero(
-        (np.abs(tolerance - drift) <= error)
-        | (np.abs(floor - before) <= error)
-        | (np.abs(floor - after) <= error)
-    )
+    _, margins = test(base, other)
+    error = 2.0 * (base.bounds + other.bounds)
+    unsure = np.flatnonzero(np.any([np.abs(margin) <= error for margin in margins], axis=0))
     _settle(base, rows, k, kind, unsure)
-    _settle(rescaled, rescaled_rows, k, kind, unsure)
-    drift, tolerance, floor, before, after = compare()
-    return (drift <= tolerance) | ((before <= floor) & (after <= floor))
+    _settle(other, other_rows, k, kind, unsure)
+    return test(base, other)[0]
+
+
+def _rise(base: _Rows, bumped: _Rows):
+    """Whether each bumped value exceeds its base value."""
+    return bumped.values > base.values, (bumped.values - base.values,)
+
+
+def _invariance(base: _Rows, rescaled: _Rows):
+    """Invariance up to FP noise: within 1e-9 of the larger value, or both below the sign floor."""
+    before, after = np.abs(base.values), np.abs(rescaled.values)
+    drift = np.abs(rescaled.values - base.values)
+    tolerance = 1e-9 * np.maximum(before, after)
+    floor = SIGN_TAU * base.scales
+    matches = (drift <= tolerance) | ((before <= floor) & (after <= floor))
+    return matches, (tolerance - drift, floor - before, floor - after)

@@ -227,9 +227,10 @@ def lor_inverse(params: ParamSet, tol: float = 1e-8, max_iter: int = 10_000) -> 
     that sends a cell out of the float range or does not lower the residual.
 
     Raises :class:`NonRealizableParamsError` naming the first mask whose
-    fitted lower margins admit no positive marginal,
-    :class:`EvaluationError` when a fitted cell underflows relative to the
-    total or an entry leaves the float range in the rescale, and
+    fitted lower margins admit no positive marginal beyond rounding,
+    :class:`EvaluationError` when a mask's bracket closes within rounding
+    (ill-conditioned), a fitted cell underflows relative to the total or
+    an entry leaves the float range in the rescale, and
     :class:`ConvergenceError` when the residual (max absolute deviation)
     stays at or above ``tol``.
     """
@@ -311,6 +312,10 @@ _X_BOUND = 750.0
 #: total of 1, has lost digits to underflow.
 _TINY = np.finfo(np.float64).tiny
 
+#: Rounding bound of ``q0`` (signed sums of the known values over 2^d), in units of
+#: ``sum|known| / 2^d``: a bracket closed by less is ill-conditioned, not non-realizable.
+_SLACK = 64 * 2**-52
+
 
 def _sweep(target: np.ndarray, tables, max_iter: int) -> np.ndarray:
     """Entries summing to 1 whose LOR values at the nonempty masks are ``target``'s.
@@ -340,9 +345,14 @@ def _sweep(target: np.ndarray, tables, max_iter: int) -> np.ndarray:
         width = hi - lo
         closed = np.flatnonzero(~(width > 0))
         if closed.size:
-            raise NonRealizableParamsError(
-                f"LOR targets are not realizable: no positive marginal over "
-                f"{_mask_name(int(masks[closed[0]]), k)} has the lower margins fitted so far")
+            past = closed[width[closed] < -_SLACK * np.abs(known[closed]).sum(axis=1) / size]
+            if past.size:
+                raise NonRealizableParamsError(
+                    f"LOR targets are not realizable: no positive marginal over "
+                    f"{_mask_name(int(masks[past[0]]), k)} has the lower margins fitted so far")
+            raise EvaluationError(
+                f"LOR fit is ill-conditioned: the bracket of the marginal over "
+                f"{_mask_name(int(masks[closed[0]]), k)} closes within the rounding of its cells")
         low, high = q0[:, even] + lo[:, None], q0[:, ~even] - hi[:, None]
         x = _logistic_roots(low, high, width, target[masks], max_iter)
         marginals = np.empty_like(q0)

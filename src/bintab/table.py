@@ -290,7 +290,12 @@ def rescale_conditional_pair(
     i = _check_count("variable", i, 1, table.k)
     c = _check_real("c", c, 0)
     sfx = validate_cell(suffix, table.k - 1)
-    first = cell_to_index(sfx[: i - 1] + (1,) + sfx[i - 1 :])
     entries = table.entries.copy()
-    entries[[first, first | 1 << (table.k - i)]] *= c
+    entries[_pair_cells(table.k, i, sfx)] *= c
     return BinaryTable(table.k, entries)
+
+
+def _pair_cells(k: int, i: int, suffix: tuple[int, ...]) -> list[int]:
+    """Flat indices of the two ``V_i`` categories at the other variables' cell ``suffix``."""
+    first = cell_to_index(suffix[: i - 1] + (1,) + suffix[i - 1 :])
+    return [first, first | 1 << (k - i)]

@@ -7,6 +7,7 @@ direct evaluation of the defining formulas, plus scipy for binomial
 tails) and are frozen here.
 """
 
+import itertools
 import math
 import time
 
@@ -14,13 +15,16 @@ import numpy as np
 import pytest
 
 from bintab import (
+    BAHADUR,
     DI,
     EX,
     LOR,
+    AggregateContrastKind,
     BinaryTable,
     ParamSet,
     bahadur,
     canonicalize,
+    collapse,
     collapse_check,
     decompose,
     di,
@@ -38,11 +42,14 @@ from bintab import (
     property_battery,
     random_table,
     recompose,
+    sign,
     simpson_scan,
     simulate_decisions,
+    slice_table,
     table_with_even_mass,
 )
-from bintab.collapsibility import _first_reversal
+from bintab.assoc import _measure_rows
+from bintab.collapsibility import _first_reversal, _reversals, _strata
 from oracles import conditional_equal, sign_matrix
 
 
@@ -230,3 +237,71 @@ def test_9_property_battery_bulk():
         before, after = evaluate(w["table"], kind), evaluate(rescaled, kind)
         assert abs(after - before) > 1e-9 * max(abs(before), abs(after))
     note(9, "LOR clean over 10^5 trials; DI/EX fail conditional invariance reproducibly")
+
+
+def _stratifications(k):
+    """Every set S of variables with 1 <= |S| <= k - 2, as ascending tuples."""
+    return [s for size in range(1, k - 1) for s in itertools.combinations(range(1, k + 1), size)]
+
+
+def test_10_dichotomy_over_every_stratification():
+    # the paper's two claims, over every set S of pooled variables: DI and a
+    # monotone function of the parity totals never reverse and sign alike,
+    # while LOR, a parameter of the conditional distributions, reverses, as
+    # do EX and Bahadur
+    start = time.perf_counter()
+    values = np.array([1.0, 2.0, 3.0, 5.0])
+    grid = np.stack(np.meshgrid(*([values] * 8), indexing="ij")).reshape(8, -1).T
+    stacks = {3: grid.reshape((-1,) + (2,) * 3)}
+    for k in (4, 5, 6):  # 64 000 cells at each k
+        count = 4000 >> (k - 4)
+        rows = np.exp(np.random.default_rng((1000, k)).uniform(-3.0, 3.0, size=(count, 2**k)))
+        stacks[k] = rows.reshape((-1,) + (2,) * k)
+    log_totals = AggregateContrastKind("log-totals", math.log)
+
+    reversals = {kind.name: 0 for kind in (LOR, EX, BAHADUR)}
+    witnesses = {}
+    sets = 0
+    for k, arr in stacks.items():
+        for axes in _stratifications(k):
+            sets += 1
+            for kind in (DI,) if k == 3 else (DI, LOR, EX, BAHADUR):
+                reversed_rows, errors = _reversals(arr, k, kind, axes)
+                assert errors == {}
+                if kind == DI:
+                    assert not reversed_rows.any(), (k, axes)
+                elif len(axes) >= 2:
+                    reversals[kind.name] += int(reversed_rows.sum())
+                    if reversed_rows.any() and kind.name not in witnesses:
+                        row = int(np.argmax(reversed_rows))
+                        witnesses[kind.name] = (kind, k, axes, arr[row].reshape(-1))
+
+            # a directionally collapsible parameter signs like DI on every
+            # stratum and every collapse; the aggregate kind is measured row by row
+            few = arr[:: len(arr) // 64]
+            reversed_rows, errors = _reversals(few, k, log_totals, axes)
+            assert errors == {} and not reversed_rows.any(), (k, axes)
+            parts = np.concatenate(_strata(few, axes)).reshape(-1, 2 ** (k - len(axes)))
+            di_signs = _measure_rows(parts, k - len(axes), DI).signs
+            assert np.array_equal(_measure_rows(parts, k - len(axes), log_totals).signs, di_signs)
+    assert sets == 3 + 10 + 25 + 56
+
+    # each reversing kind has a witness pooling two or more variables, which
+    # replays through the public API (the highest variable sliced first)
+    assert set(witnesses) == {"lor", "ex", "bahadur"}
+    for kind, k, axes, entries in witnesses.values():
+        table = BinaryTable(k, entries)
+        strata = []
+        for cell in itertools.product((1, 2), repeat=len(axes)):
+            part = table
+            for variable, category in sorted(zip(axes, cell), reverse=True):
+                part = slice_table(part, variable, category)
+            strata.append(sign(part, kind))
+        pooled = table
+        for variable in sorted(axes, reverse=True):
+            pooled = collapse(pooled, variable)
+        assert len(set(strata)) == 1 and strata[0] != 0 and sign(pooled, kind) != strata[0]
+    elapsed = time.perf_counter() - start
+    note(10, f"DI and log-totals never reverse over {sets} stratifications; with |S| >= 2 "
+             f"LOR/EX/Bahadur reverse {reversals['lor']}/{reversals['ex']}/"
+             f"{reversals['bahadur']} times ({elapsed:.1f}s)")

@@ -256,6 +256,14 @@ class TestLorParams:
         with pytest.raises(EvaluationError, match=r"underflows.*mask 01 \(variables 2\)"):
             lor_inverse(full_params(t, "lor"))
 
+    def test_bracket_closed_by_rounding_is_ill_conditioned(self):
+        # realizable, as every target of a positive table is; the smallest
+        # cell is 1.6e-20 of the total, below the rounding of the swept marginal
+        t = BinaryTable.from_entries([2.030229596195942e-09, 5.074417299844181e-08,
+                                      1.4809626957588854e-07, 127282061404.74075])
+        with pytest.raises(EvaluationError, match=r"ill-conditioned.*mask 11 \(variables 1, 2\)"):
+            lor_inverse(full_params(t, "lor"))
+
     def test_log_product_beyond_float_range(self):
         with pytest.raises(EvaluationError, match="float range"):
             lor_inverse(ParamSet(1, "lor", np.array([3000.0, 0.0])))
@@ -358,6 +366,20 @@ class TestLorFitCorpus:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert np.max(np.abs(full_params(fitted, "lor").values - target.values)) < 1e-8
+
+    @pytest.mark.parametrize("spread", (15, 20, 30))
+    def test_wide_targets_are_never_called_non_realizable(self, spread):
+        # every target comes from a positive table, so only a fit or the
+        # ill-conditioned and convergence errors may end it; keyed (11, k, spread, i)
+        for k in range(2, 7):
+            for i in range(40):
+                rng = np.random.default_rng((11, k, spread, i))
+                target = full_params(BinaryTable(k, np.exp(rng.uniform(-spread, spread, 2**k))),
+                                     "lor")
+                try:
+                    lor_inverse(target)
+                except (ConvergenceError, EvaluationError):
+                    pass
 
     def test_contradictory_pairs_are_not_realizable(self):
         # V1 ~ V2 and V1 ~ V3 strongly positive, V2 ~ V3 strongly negative
