@@ -3,9 +3,10 @@
 With N multinomial draws from a normalized table, the sampled DI is
 positive exactly when more than N/2 observations land in even-parity
 cells, so the decision probability is a binomial tail in the even-parity
-mass p alone.  ``prob_di_positive_exact`` sums that tail in log space,
-walking out from the mode until the terms underflow, in blocks of terms
-formed in numpy from a bounded cache of log-factorials (at most 4 MB);
+mass p alone.  ``prob_di_positive_exact`` sums that tail in log space
+over the one window around Np outside which Pinsker's inequality puts
+every term below the float range, O(sqrt(N)) terms formed in one numpy
+pass from a bounded cache of log-factorials (at most 4 MB);
 ``prob_di_positive_normal`` is the CLT approximation
 ``Phi(sqrt(N) (p - 1/2) / sqrt(p (1 - p)))``.  Ties (even count exactly
 N/2) count as not-positive.  Tables whose total overflows a float are
@@ -101,45 +102,32 @@ def _log_factorials(lo: int, hi: int) -> np.ndarray:
 def prob_di_positive_exact(N: int, p: float) -> float:
     """P(sampled DI > 0): binomial tail P(X > N/2) for X ~ Bin(N, p).
 
-    Terms are accumulated from log-binomial form so large N stays stable;
-    the lower limit floor(N/2) + 1 excludes ties.  The pmf is unimodal, so
-    the sum walks out from the mode (clamped into the tail) in both
-    directions and each walk stops at its first term that underflows to
-    0.0: every term it skips is 0.0 too, and ``math.fsum`` is exactly
-    rounded, so the result is the full sum's.
+    Terms are summed from log-binomial form so large N stays stable; the
+    lower limit floor(N/2) + 1 excludes ties.  By Pinsker's inequality
+    ``log P(X = x) <= -2 (x - Np)^2 / N``, so every term farther than
+    ``r = sqrt((1 - _EXP_FLOOR) N / 2) + 1`` from Np has a log below
+    ``_EXP_FLOOR - 1`` (the 1 is a margin for the rounding of the computed
+    log) and is 0.0 after ``math.exp``: the sum runs over the one window
+    ``|x - Np| <= r`` of the tail, in O(sqrt(N)) time and memory, and
+    ``math.fsum`` is exactly rounded, so the result is the full sum's.
 
-    Each walk takes x in blocks that double in size.  A block's log-terms
-    are formed in numpy from memoized log-factorials, in the order of
-    operations of ``lgamma(N+1) - lgamma(x+1) - lgamma(N-x+1) + x log p +
-    (N-x) log q``, and ``math.exp`` (not ``np.exp``, which can differ by an
-    ulp) is applied to those above the underflow limit, so every term is
-    the float a scalar loop over x would give (for N below 2^53, where x
-    converts to a float exactly).
+    The window's log-terms are formed in one numpy pass from memoized
+    log-factorials, in the order of operations of ``lgamma(N+1) -
+    lgamma(x+1) - lgamma(N-x+1) + x log p + (N-x) log q``, and ``math.exp``
+    (not ``np.exp``, which can differ by an ulp) is applied to those above
+    the underflow limit, so every term is the float a scalar loop over x
+    would give (for N below 2^53, where x converts to a float exactly).
     """
     p = _check_real("p", p, 0, 1)
     N = _check_count("N", N, 1)
-    log_p, log_q = math.log(p), math.log1p(-p)
-    log_n_fact = math.lgamma(N + 1)
-    lo = N // 2 + 1
-    start = min(max(int((N + 1) * p), lo), N)
-    terms: list[float] = []
-    for x, stop, step in ((start, N + 1, 1), (start - 1, lo - 1, -1)):
-        size = 64
-        while x != stop:
-            end = min(x + size, stop) if step > 0 else max(x - size, stop)
-            a, b = (x, end) if step > 0 else (end + 1, x + 1)  # the block is x in [a, b)
-            xs = np.arange(a, b, dtype=np.float64)
-            lf_x, lf_rest = _log_factorials(a, b), _log_factorials(N - b + 1, N - a + 1)[::-1]
-            logs = (log_n_fact - lf_x - lf_rest + xs * log_p + (N - xs) * log_q)[::step]
-            below = np.flatnonzero(logs < _EXP_FLOOR)
-            block = list(map(math.exp, logs[:below[0] if below.size else len(logs)].tolist()))
-            if 0.0 in block:
-                del block[block.index(0.0):]
-            terms += block
-            if len(block) < len(logs):
-                break
-            x, size = end, min(2 * size, 1 << 11)
-    return min(math.fsum(terms), 1.0)
+    r = math.sqrt((1 - _EXP_FLOOR) * N / 2) + 1
+    a, b = max(N // 2 + 1, math.floor(N * p - r)), min(N, math.ceil(N * p + r)) + 1  # x in [a, b)
+    if a >= b:
+        return 0.0
+    xs = np.arange(a, b, dtype=np.float64)
+    lf_x, lf_rest = _log_factorials(a, b), _log_factorials(N - b + 1, N - a + 1)[::-1]
+    logs = math.lgamma(N + 1) - lf_x - lf_rest + xs * math.log(p) + (N - xs) * math.log1p(-p)
+    return min(math.fsum(map(math.exp, logs[logs >= _EXP_FLOOR].tolist())), 1.0)
 
 
 def prob_di_positive_normal(N: int, p: float) -> float:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EvaluationError, InvalidTableError
-from .table import BinaryTable, Cell, index_to_cell, parity_signs
+from .table import BinaryTable, Cell, _derived_table, index_to_cell, parity_signs
 
 
 class Step(NamedTuple):
@@ -47,17 +47,12 @@ def canonicalize(table: BinaryTable) -> CanonicalTrace:
     Raises :class:`EvaluationError` naming the step whose division sends an
     entry beyond the float range or to 0.
     """
-    k = table.k
-    arr = table.array()
-    steps = []
-    with np.errstate(over="ignore", under="ignore"):  # the table built below checks
-        for i in range(1, k + 1):
-            arr = arr / np.take(arr, [1], axis=i - 1)
-            try:
-                steps.append(Step(i, BinaryTable.from_array(arr)))
-            except InvalidTableError as exc:  # the input was valid: inf or 0 from the division
-                raise EvaluationError(f"canonical step {i} leaves the float range: {exc}") from exc
-    final = steps[-1].table if steps else table
+    final, steps = table, []
+    for i in range(1, table.k + 1):
+        arr = final.array()
+        final = _derived_table(table.k, f"canonical step {i}",
+                               lambda: (arr / np.take(arr, [1], axis=i - 1)).reshape(-1))
+        steps.append(Step(i, final))
     return CanonicalTrace(steps=tuple(steps), final=final)
 
 

@@ -31,7 +31,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import InvalidTableError
+from .errors import EvaluationError, InvalidTableError
 
 Cell = tuple[int, ...]
 
@@ -217,7 +217,9 @@ class BinaryTable:
 
     @property
     def total(self) -> float:
-        return float(self.entries.sum())
+        """Sum of the entries; EvaluationError when it passes the float range."""
+        total = _derived_table(0, "the total", lambda: self.entries.sum(keepdims=True))
+        return float(total.entries[0])
 
     def normalized(self) -> "BinaryTable":
         """Same table scaled to sum 1, by way of :func:`_finite_totals` when the total overflows."""
@@ -274,8 +276,8 @@ def marginal(table: BinaryTable, mask: int) -> BinaryTable:
     dropped = tuple(axis for axis in range(k) if not mask >> (k - 1 - axis) & 1)
     if not dropped:
         return table
-    arr = table.array().sum(axis=dropped)
-    return BinaryTable(k - len(dropped), arr.reshape(-1))
+    return _derived_table(k - len(dropped), f"the marginal over mask {mask}",
+                          lambda: table.array().sum(axis=dropped).reshape(-1))
 
 
 def rescale_conditional_pair(
@@ -290,9 +292,21 @@ def rescale_conditional_pair(
     i = _check_count("variable", i, 1, table.k)
     c = _check_real("c", c, 0)
     sfx = validate_cell(suffix, table.k - 1)
-    entries = table.entries.copy()
-    entries[_pair_cells(table.k, i, sfx)] *= c
-    return BinaryTable(table.k, entries)
+    factors = np.ones(2**table.k)
+    factors[_pair_cells(table.k, i, sfx)] = c
+    return _derived_table(table.k, f"the rescale by {c!r}", lambda: table.entries * factors)
+
+
+def _derived_table(k: int, what: str, entries) -> BinaryTable:
+    """The table of ``entries()``, computed from a valid table with overflow and underflow
+    silenced: the one float-range rule for derived tables.  An entry out of range (inf,
+    or 0.0 from positive inputs) raises EvaluationError naming ``what`` and the entry."""
+    with np.errstate(over="ignore", under="ignore"):
+        values = entries()
+    try:
+        return BinaryTable(k, values)
+    except InvalidTableError as exc:  # the input was valid: inf or 0 from the arithmetic
+        raise EvaluationError(f"{what} leaves the float range: {exc}") from exc
 
 
 def _pair_cells(k: int, i: int, suffix: tuple[int, ...]) -> list[int]:

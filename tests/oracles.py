@@ -8,7 +8,7 @@ and conditional-invariance properties the tests assert.  ``scalar_search``
 and ``scalar_battery`` run the seeded search and property battery one
 trial and one table at a time, the reference for the library's blocked
 loops, and ``scalar_exact_tail`` sums the exact binomial tail one term at a
-time, the reference for its blocked walks.  All of them call public
+time, the reference for its one-pass window.  All of them call public
 library names only.
 """
 

@@ -103,10 +103,29 @@ def _tail_grid():
             yield N, p
 
 
-class TestExactTailMatchesScalarOracle:
-    """The blocked walks return the bits of the one-term-at-a-time sum."""
+def _window_edges():
+    """(N, p) pairs at the edges of the summed window |x - Np| <= r, r = sqrt(373.5 N) + 1."""
+    yield 10**6, 0.45  # Np + r < N/2: the window is empty
+    yield 10**6, 0.480674  # Np + r ends just past N/2: two terms, both below the floor
+    yield 10**4, 0.505  # clipped at N//2 + 1
+    yield 10**4, 0.99  # clipped at N
+    yield 100, 0.6  # clipped at both ends
+    yield 10**5, 1 - 1e-12  # clipped at N, the sum rounds to 1.0
 
-    @pytest.mark.parametrize("N, p", list(_tail_grid()))
+
+def _keyed_tails(count=200):
+    """Keyed (N, p): N log-uniform in [1, 10^7], p within about 8/sqrt(N) of 1/2."""
+    for i in range(count):
+        rng = np.random.default_rng((17, i))
+        N = int(10 ** rng.uniform(0, 7))
+        yield N, float(1 / (1 + np.exp(rng.uniform(-8, 8) / math.sqrt(N))))
+
+
+class TestExactTailMatchesScalarOracle:
+    """The one-pass window returns the bits of the one-term-at-a-time sum."""
+
+    @pytest.mark.parametrize("N, p", list(_tail_grid()) + list(_window_edges())
+                             + list(_keyed_tails()))
     def test_bits_with_cold_and_warm_cache(self, N, p):
         want = scalar_exact_tail(N, p).hex()
         _log_factorial_block.cache_clear()

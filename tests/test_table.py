@@ -13,8 +13,10 @@ from bintab import (
     DI,
     LOR,
     BinaryTable,
+    EvaluationError,
     InvalidTableError,
     ParamSet,
+    canonicalize,
     cell_to_index,
     collapse,
     collapse_check,
@@ -372,6 +374,39 @@ class TestSurgery:
         bumped = BinaryTable.from_entries([2.1, 3, 4, 5])
         assert not conditional_equal(t, bumped, 1)
         assert conditional_equal(t, t, 1)
+
+
+BIG = BinaryTable.from_entries([1e308] * 4)
+
+
+class TestDerivedTablesLeaveTheFloatRange:
+    """A valid input whose derived table leaves the float range raises EvaluationError.
+
+    The arithmetic runs with numpy's overflow warning silenced (a
+    RuntimeWarning fails the suite), and the error names the derivation and
+    the entry that failed, never the input contract.
+    """
+
+    @pytest.mark.parametrize("derive, what, cause", [
+        (lambda: collapse(BIG, 1), "the marginal over mask 1", "entries must be finite"),
+        (lambda: marginal(BIG, 0), "the marginal over mask 0", "entries must be finite"),
+        (lambda: rescale_conditional_pair(BIG, 1, (1,), 10.0), "the rescale by 10.0",
+         "entries must be finite"),
+        (lambda: rescale_conditional_pair(BinaryTable.from_entries([1e-320, 1, 1, 1]), 1, (1,),
+                                          1e-10),
+         "the rescale by 1e-10", r"entry 0\.0 at cell \(1, 1\) is not strictly positive"),
+        (lambda: BIG.total, "the total", "entries must be finite"),
+        (lambda: canonicalize(BinaryTable.from_entries([1e308, 1.0, 1e-308, 1.0])),
+         "canonical step 1", "entries must be finite"),
+    ], ids=["collapse", "marginal", "rescale-overflow", "rescale-underflow", "total",
+            "canonicalize"])
+    def test_typed_error_without_warning(self, derive, what, cause):
+        with pytest.raises(EvaluationError, match=f"^{what} leaves the float range: {cause}$"):
+            derive()
+
+    def test_total_within_range_is_the_sum(self):
+        assert BinaryTable.from_entries([2, 3, 4, 5]).total == 14.0
+        assert BinaryTable.from_entries([1e308, 7e307]).total == 1.7e308
 
 
 @given(small_tables(), st.data())
