@@ -21,9 +21,9 @@ cells per stack (one trial at least), so memory does not grow with the
 trial budget.  The kernel settles every sign and comparison exactly as the
 scalar ``_measure`` would (rows its error bound cannot settle are measured
 by ``_measure``).  A search's outcome is the first trial that reverses or
-fails, and a battery replays its irregular trials through the one-trial
-checks in order, so witnesses, failure counts and typed errors are those
-of one trial at a time.
+fails; a battery reads each check as a failure mask over a block and raises
+the first error a loop over single trials meets, so witnesses, failure
+counts and typed errors are those of one trial at a time.
 """
 
 from __future__ import annotations
@@ -222,8 +222,8 @@ def property_battery(
     Failures are counted per property; up to ``witness_cap`` witnesses per
     property record the table and the exact operation for replay.  Trials
     are drawn one after another and measured in blocks within the cell
-    budget; an error that measuring a trial raises is raised as a loop over
-    single trials would raise it.
+    budget, each check a mask over a block; the error raised is the first
+    that a loop over single trials, stopping at it, would meet.
     """
     kind = resolve_kind(kind)
     k = _check_count("k", k, 1, MAX_DIM)
@@ -233,10 +233,11 @@ def property_battery(
     counts = {name: 0 for name in PropertyBatterySummary.PROPERTIES}
     witnesses: dict[str, list[dict]] = {name: [] for name in PropertyBatterySummary.PROPERTIES}
     for draws in _keyed_blocks(k, trials, seed, _CELL_BUDGET, _battery_draws):
-        for name, entries, operation in _battery_failures(draws, k, kind):
-            counts[name] += 1
-            if len(witnesses[name]) < witness_cap:
-                witnesses[name].append({"table": BinaryTable(k, entries), **operation})
+        failures = _battery_failures(draws, k, kind)
+        for name, (failing, operation) in zip(PropertyBatterySummary.PROPERTIES, failures):
+            counts[name] += len(failing)
+            for j in failing[: witness_cap - len(witnesses[name])].tolist():
+                witnesses[name].append({"table": BinaryTable(k, draws[j][0]), **operation(j)})
     return PropertyBatterySummary(kind=kind.name, k=k, trials=trials, seed=seed,
                                   failures=counts, witnesses=witnesses)
 
@@ -255,57 +256,49 @@ def _battery_draws(k: int, rng: np.random.Generator) -> tuple:
     return entries, const_value, factor, rescales
 
 
-def _battery_failures(draws: list, k: int, kind: AssociationKind):
-    """Yield ``(property, entries, operation)`` for each failure of a block of trials.
+def _battery_failures(draws: list, k: int, kind: AssociationKind) -> list:
+    """Each property's failing trials of a block, with a function giving one's witness operation.
 
-    The trials' tables and their constant, bumped, swapped and rescaled
-    tables are measured as stacks.  A trial is regular when every check
-    passes and no stack has an error on it; every other trial runs its
-    checks in the order of a one-trial battery, raising the first error and
-    yielding the failures as they come.
+    The trials' tables and their constant, bumped, rescaled and swapped tables
+    are measured as stacks, and each check is one mask over the block.  An
+    error is the lowest erring trial's first in the one-trial order: base,
+    constant, bumped (when the constant signs 0), the swaps up to the first
+    that does not flip, then a rescaled-table error other than an
+    ``EvaluationError`` (which fails the invariance check).
     """
+    entries, const_values, factors, rescales = zip(*draws)
     count, n = len(draws), 2**k
-    rows = np.stack([entries for entries, _, _, _ in draws])
-    constant_rows = np.repeat([[const_value] for _, const_value, _, _ in draws], n, axis=1)
+    rows = np.stack(entries)
     bumped_rows = rows.copy()
-    bumped_rows[:, 0] *= [factor for _, _, factor, _ in draws]
+    bumped_rows[:, 0] *= factors
     rescaled_rows = rows.copy()
-    for row, (_, _, _, rescales) in zip(rescaled_rows, draws):
-        for op in rescales:
+    for row, ops in zip(rescaled_rows, rescales):
+        for op in ops:
             row[_pair_cells(k, op["variable"], op["suffix"])] *= op["factor"]
     base = _measure_rows(rows, k, kind)
-    constant = _measure_rows(constant_rows, k, kind)
+    constant = _measure_rows(np.repeat(np.array(const_values)[:, None], n, axis=1), k, kind)
     bumped = _measure_rows(bumped_rows, k, kind)
     rescaled = _measure_rows(rescaled_rows, k, kind)
-    arr = rows.reshape((count,) + (2,) * k)
-    swaps = [_measure_rows(np.flip(arr, axis).reshape(count, n), k, kind)
-             for axis in range(1, k + 1)]
+    swaps = [_measure_rows(np.flip(rows.reshape((count,) + (2,) * k), axis).reshape(count, n),
+                           k, kind) for axis in range(1, k + 1)]
     rises = _settled(_rise, base, bumped, rows, bumped_rows, k, kind)
     invariant = _settled(_invariance, base, rescaled, rows, rescaled_rows, k, kind)
-    flips = np.all([swap.signs == -base.signs for swap in swaps], axis=0)
-    regular = (constant.signs == 0) & rises & flips & invariant
-    for measured in (base, constant, bumped, rescaled, *swaps):
-        regular[list(measured.errors)] = False
-    for j in np.flatnonzero(~regular).tolist():
-        entries, const_value, factor, rescales = draws[j]
-        for measured in (base, constant):
-            if j in measured.errors:
-                raise measured.errors[j]
-        if constant.signs[j] == 0 and j in bumped.errors:
-            raise bumped.errors[j]
-        if constant.signs[j] != 0 or not rises[j]:
-            yield "monotone", entries, {"constant": const_value, "factor": factor}
-        for variable, swap in enumerate(swaps, 1):
-            if j in swap.errors:
-                raise swap.errors[j]
-            if swap.signs[j] != -base.signs[j]:
-                yield "swap_antisymmetry", entries, {"variable": variable}
-                break
-        error = rescaled.errors.get(j)  # out of the kind's evaluable range: a failed check
-        if error is not None and not isinstance(error, EvaluationError):
-            raise error
-        if error is not None or not invariant[j]:
-            yield "conditional_invariance", entries, {"rescales": rescales}
+    flat = constant.signs == 0
+    stops = np.array([swap.signs != -base.signs for swap in swaps])
+    last = np.where(stops.any(axis=0), stops.argmax(axis=0), k)  # the first swap not to flip
+    evaluable, everyone = np.ones(count, dtype=bool), np.ones(count, dtype=bool)
+    evaluable[[j for j, e in rescaled.errors.items() if isinstance(e, EvaluationError)]] = False
+    stages = [(base, everyone), (constant, everyone), (bumped, flat),
+              *((swap, last >= axis) for axis, swap in enumerate(swaps)), (rescaled, evaluable)]
+    first: dict = {}
+    for measured, reached in reversed(stages):  # a trial keeps its first error
+        first.update((j, e) for j, e in measured.errors.items() if reached[j])
+    if first:
+        raise first[min(first)]
+    return [(np.flatnonzero(~(flat & rises)),
+             lambda j: {"constant": const_values[j], "factor": factors[j]}),
+            (np.flatnonzero(last < k), lambda j: {"variable": int(last[j]) + 1}),
+            (np.flatnonzero(~(invariant & evaluable)), lambda j: {"rescales": rescales[j]})]
 
 
 def _settled(test, base: _Rows, other: _Rows, rows, other_rows, k: int, kind) -> np.ndarray:

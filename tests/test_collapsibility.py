@@ -273,6 +273,20 @@ ORACLE_KINDS = {
 }
 
 
+def fragile_sqrt(x):
+    """``sqrt``, except on ``fragile_log``'s band."""
+    if 24.0 < x < 36.0:
+        raise ValueError(f"fragile entry {x!r}")
+    return math.sqrt(x)
+
+
+# at k=10 a battery block holds 8 trials; the fragile sqrt kind fails the
+# invariance check on every trial, so a cross-block run either ends with all
+# of them failed (seed 2) or raises after every earlier trial failed (trials
+# 13 and 16 at seeds 1 and 3)
+CROSS_BLOCK_KINDS = {**ORACLE_KINDS, "fragile-sqrt": ContrastKind("fragile-sqrt", fragile_sqrt)}
+
+
 def outcome(call):
     """``repr`` of the result, or the type and message of the typed error raised."""
     try:
@@ -302,6 +316,30 @@ class TestBlockedLoopsMatchScalarOracle:
                 return s.failures, s.witnesses
             got = outcome(blocked)
             assert got == outcome(lambda: scalar_battery(kind, k, 40, seed, 3)), (name, k, seed)
+
+    @pytest.mark.parametrize("name", sorted(CROSS_BLOCK_KINDS))
+    def test_battery_across_blocks(self, name):
+        kind = CROSS_BLOCK_KINDS[name]
+        for seed in (1, 3):
+            def blocked():
+                s = property_battery(kind, 10, 24, seed, witness_cap=3)
+                return s.failures, s.witnesses
+            got = outcome(blocked)
+            assert got == outcome(lambda: scalar_battery(kind, 10, 24, seed, 3)), (name, seed)
+
+    def test_cross_block_corpus_has_capped_witnesses_and_late_errors(self):
+        # the witness cap is met in the first block and the count runs on; an
+        # error is raised in a later block than failures already counted
+        kind = CROSS_BLOCK_KINDS["fragile-sqrt"]
+        s = property_battery(kind, 10, 24, 2, witness_cap=3)
+        assert s.failures["conditional_invariance"] == 24
+        assert len(s.witnesses["conditional_invariance"]) == 3
+        assert repr((s.failures, s.witnesses)) == repr(scalar_battery(kind, 10, 24, 2, 3))
+        for seed, erring in ((1, 13), (3, 16)):
+            s = property_battery(kind, 10, erring, seed, witness_cap=3)
+            assert s.failures["conditional_invariance"] == erring
+            with pytest.raises(EvaluationError, match="fragile entry"):
+                property_battery(kind, 10, erring + 1, seed, witness_cap=3)
 
     # at large k the error bounds are wide enough that some invariance
     # (LOR, EX at k=10) and monotonicity (EX at k=12) comparisons fall back

@@ -461,6 +461,12 @@ class TestCliPower:
         error = json.loads(out)["error"]
         assert error["message"] == "--p must be a number in (0, 1), got 1.5"
 
+    def test_n_past_the_exact_tail_bound_exits_input(self, capsys):
+        code, out = run_cli(capsys, "power", "--N", "100000000000000", "--p", "0.5")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["message"] == "N must be an integer in [1, 10000000000], got 100000000000000"
+
 
 @pytest.fixture
 def param_files(tmp_path, table_file):

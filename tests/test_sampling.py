@@ -1,6 +1,7 @@
 """Sign-decision probabilities under multinomial sampling."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from bintab import (
     simulate_decisions,
     table_with_even_mass,
 )
+from bintab import sampling
 from bintab.sampling import _LF_BLOCKS, _log_factorial_block, _sample_sign
 from oracles import scalar_exact_tail
 
@@ -93,6 +95,17 @@ class TestExactTail:
         for prob in (prob_di_positive_exact, prob_di_positive_normal):
             with pytest.raises(InvalidTableError, match="N must be an integer >= 1, got True"):
                 prob(True, 0.5)
+
+    def test_n_past_the_bound_fails_before_the_window_is_formed(self, monkeypatch):
+        def no_window(lo, hi):
+            raise AssertionError("the window was formed")
+
+        monkeypatch.setattr(sampling, "_log_factorials", no_window)
+        message = "N must be an integer in [1, 10000000000], got 10000000001"
+        with pytest.raises(InvalidTableError, match=f"^{re.escape(message)}$"):
+            prob_di_positive_exact(10**10 + 1, 0.5)
+        assert prob_di_positive_exact(10**10, 0.45) == 0.0  # at the bound, an empty window
+        assert prob_di_positive_normal(10**10 + 1, 0.5) == 0.5
 
 
 def _tail_grid():
