@@ -83,6 +83,9 @@ _EXP_FLOOR = -746.0
 #: held at once (a 150 MB ``tracemalloc`` peak at N = 10^10).
 MAX_EXACT_N = 10**10
 
+#: Largest N of the normal tail and the Monte Carlo, whose counts are int64.
+MAX_N = 2**63 - 1
+
 
 @functools.lru_cache(maxsize=_LF_BLOCKS)
 def _log_factorial_block(block: int) -> np.ndarray:
@@ -139,6 +142,7 @@ def prob_di_positive_normal(N: int, p: float) -> float:
     """Normal approximation Phi(sqrt(N) (p - 1/2) / sqrt(p (1 - p)))."""
     p = _check_real("p", p, 0, 1)
     N = _check_count("N", N, 1)
+    N = _check_count("N", N, 1, MAX_N)
     z = math.sqrt(N) * (p - 0.5) / math.sqrt(p * (1.0 - p))
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
@@ -205,6 +209,7 @@ def simulate_decisions(
     """
     kind = resolve_kind(kind)
     N = _check_count("N", N, 1)
+    N = _check_count("N", N, 1, MAX_N)
     replications = _check_count("replications", replications, 1)
     seed = _check_count("seed", seed)
     entries = _finite_totals(true_table.entries)

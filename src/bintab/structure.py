@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EvaluationError, InvalidTableError
-from .table import BinaryTable, Cell, _derived_table, index_to_cell, parity_signs
+from .table import BinaryTable, Cell, _check_count, _derived_table, index_to_cell, parity_signs
 
 
 class Step(NamedTuple):
@@ -72,7 +72,8 @@ class Decomposition:
     component is constant except one larger cell; all peaks share the
     parity class named by ``case`` ("positive" = even, "negative" = odd,
     "zero" = no peaks).  Every cell of every component includes
-    ``increment``, and the components sum back to the input exactly.
+    ``increment``, and the components sum back to the input to within
+    rounding (test_7 checks 1e-12).
     """
 
     s: float
@@ -82,70 +83,59 @@ class Decomposition:
     increment: float
 
 
+#: Largest k of :func:`decompose`: its output holds up to 2^k components of
+#: 2^k entries each (a 129 MiB ``tracemalloc`` peak at k = 12, x4 per k).
+MAX_DECOMPOSE_K = 12
+
+
 def decompose(table: BinaryTable) -> Decomposition:
     """Greedy additive decomposition into zero-DI pairs plus one-signed peaks.
 
     Subtract the smallest entry s, then repeatedly match the smallest
-    positive residue cell with the largest cell of opposite parity
-    (ties at either end go to the lowest linear index), emitting a
-    two-cell component and subtracting it.  The loop stops as soon as one
-    parity class is exhausted; whatever remains becomes single-peak
-    components, necessarily all in the surviving class.  Finally s is
-    spread evenly: every cell of every component gains
-    ``s / (#pair components + #peaks)``, keeping components positive and
-    making the entrywise sum reproduce the input.  Raises
-    :class:`EvaluationError` when that increment is below the smallest
-    normal float, where it would keep too few digits for the sum to do so.
+    positive residue cell with the largest cell of opposite parity (ties at
+    either end go to the lowest linear index), emitting a two-cell component
+    and subtracting it, until that partner's residue is 0: one parity class
+    is exhausted, and whatever remains becomes single-peak components, all
+    in the surviving class.  Every component is ``increment = s / (#pair
+    components + #peaks)`` in every cell plus its raised cells, so the
+    components are positive and sum back to the input to within rounding.
+    Raises :class:`InvalidTableError` for k above ``MAX_DECOMPOSE_K`` and
+    :class:`EvaluationError` when the increment is below the smallest normal
+    float, where it would keep too few digits for that sum.
     """
-    k = table.k
-    n = 2**k
+    k = _check_count("k", table.k, 0, MAX_DECOMPOSE_K)  # before any component is built
     residue = table.entries.copy()
     s = float(residue.min())
     residue -= s
     even = parity_signs(k) > 0
 
-    pairs: list[tuple[int, int, float]] = []
-    while residue[even].any() and residue[~even].any():
+    raised: list[tuple[list[int], float]] = [([], 0.0)]  # the constant component raises no cell
+    while True:
         # argmin/argmax return the first occurrence: ties go to the lowest index
         t1 = int(np.argmin(np.where(residue > 0, residue, np.inf)))
-        value = residue[t1]
-        # value is the least positive residue and both classes hold one, so partner's is >= value
         partner = int(np.argmax(np.where(even != even[t1], residue, -np.inf)))
-        pairs.append((t1, partner, float(value)))
+        if not residue[partner] > 0:  # only t1's class holds positive cells, if any is left
+            break
+        value = residue[t1]  # the least positive residue, so partner's is >= value
+        raised.append(([t1, partner], value))
         residue[t1] = 0.0
         residue[partner] -= value
+    first_peak = len(raised)
+    peaks = np.flatnonzero(residue).tolist()
+    raised += [([t], residue[t]) for t in peaks]
+    case = "zero" if not peaks else "positive" if even[peaks[0]] else "negative"
 
-    peak_cells = (residue > 0).nonzero()[0].tolist()
-    if not peak_cells:
-        case = "zero"
-    else:
-        case = "positive" if even[peak_cells[0]] else "negative"
-
-    increment = s / (len(pairs) + 1 + len(peak_cells))
-    if increment < np.finfo(np.float64).tiny:  # too few digits to sum back exactly
+    increment = s / len(raised)
+    if increment < np.finfo(np.float64).tiny:  # too few digits to sum back
         raise EvaluationError(f"increment {increment!r} is below the smallest normal float")
-
-    def lifted(base: np.ndarray) -> BinaryTable:
-        return BinaryTable(k, base + increment)
-
-    pair_components = [lifted(np.zeros(n))]
-    for t1, partner, value in pairs:
-        base = np.zeros(n)
-        base[t1] = value
-        base[partner] = value
-        pair_components.append(lifted(base))
-    peak_components = []
-    for t in peak_cells:
-        base = np.zeros(n)
-        base[t] = residue[t]
-        peak_components.append(Peak(index_to_cell(t, k), lifted(base)))
-    return Decomposition(
-        s=s,
-        case=case,
-        pair_components=tuple(pair_components),
-        peak_components=tuple(peak_components),
-        increment=increment,
-    )
+    components = []
+    for cells, value in raised:
+        entries = np.full(2**k, increment)
+        entries[cells] = increment + value  # a list indexes cells; a tuple would index axes
+        components.append(BinaryTable(k, entries))
+    peak_components = tuple(Peak(index_to_cell(t, k), c)
+                            for t, c in zip(peaks, components[first_peak:]))
+    return Decomposition(s, case, tuple(components[:first_peak]), peak_components, increment)
 
 
 def recompose(d: Decomposition) -> BinaryTable:

@@ -184,6 +184,19 @@ class TestNormalApprox:
         midpoint = prob_di_positive_exact(N, p) + 0.5 * float(binom.pmf(N // 2, N, p))
         assert abs(midpoint - prob_di_positive_normal(N, p)) < 0.002
 
+    def test_n_past_int64_is_typed(self):
+        # the Monte Carlo draws its counts in int64; the normal tail shares the bound
+        t = table_with_even_mass(2, 0.6)
+        message = f"N must be an integer in [1, {2**63 - 1}], got {2**63}"
+        for call in (lambda: prob_di_positive_normal(2**63, 0.5),
+                     lambda: simulate_decisions(t, 2**63, DI, 10, seed=1)):
+            with pytest.raises(InvalidTableError, match=f"^{re.escape(message)}$"):
+                call()
+        with pytest.raises(InvalidTableError, match="N must be an integer in"):
+            prob_di_positive_normal(10**400, 0.5)  # past the float range of math.sqrt
+        assert prob_di_positive_normal(2**63 - 1, 0.5) == 0.5
+        assert sum(simulate_decisions(t, 2**63 - 1, DI, 10, seed=1).values()) == 1.0
+
 
 class TestSampleSign:
     def test_zero_in_odd_class_forces_positive(self):

@@ -1,6 +1,8 @@
 """Canonical reduction and additive decomposition."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from bintab import (
     BinaryTable,
     Decomposition,
     EvaluationError,
+    InvalidTableError,
     canonicalize,
     decompose,
     di,
@@ -93,6 +96,23 @@ class TestCanonicalize:
     def test_idempotent(self, t):
         final = canonicalize(t).final
         assert canonicalize(final).final.allclose(final, rtol=1e-12)
+
+
+def _decompose_corpus():
+    """Seeded tables for :func:`decompose`, k = 0..8.
+
+    Each k draws entries near 1, small integers (ties at both ends of the
+    pair choice), a constant, and entries spread over about 2000 binades
+    (some of whose increments fall below the normal floats).
+    """
+    rng = np.random.default_rng(2489)
+    for k in range(9):
+        n = 2**k
+        for _ in range(6):
+            wide = np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-1022, 1000, n))
+            for entries in (rng.uniform(0.05, 20.0, n), rng.integers(1, 5, n).astype(float),
+                            np.full(n, rng.uniform(0.05, 20.0)), wide):
+                yield BinaryTable(k, entries)
 
 
 class TestDecompose:
@@ -206,6 +226,38 @@ class TestDecompose:
         # s / 3 is 0.0 and s / 5 is 2e-321, which recomposes to 1.0005e-320
         with pytest.raises(EvaluationError, match="below the smallest normal float"):
             decompose(BinaryTable.from_entries(entries))
+
+    def test_k_past_the_bound_fails_before_allocating(self):
+        # the output holds up to 2^k components of 2^k entries: 129 MiB at k=12, x4 per k
+        t = BinaryTable.constant(13, 1.0)
+        message = r"^k must be an integer in \[0, 12\], got 13$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidTableError, match=message):
+                decompose(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        big = random_table(12, np.random.default_rng(12))
+        assert recompose(decompose(big)).allclose(big, rtol=1e-12)
+
+    # SHA-256 of the records below, computed once and frozen
+    DIGEST = "35978fcd8e60dd083e2b4b5cfd9b2d7df8092d2c60cd40b94159d52990311d83"
+
+    def test_corpus_digest(self):
+        records = []
+        for t in _decompose_corpus():
+            try:
+                d = decompose(t)
+            except EvaluationError as exc:
+                records.append(f"{type(exc).__name__}: {exc}")
+                continue
+            records.append(f"{d.s.hex()} {d.case} {d.increment.hex()}")
+            records += [c.entries.tobytes().hex() for c in d.pair_components]
+            records += [f"{cell} {c.entries.tobytes().hex()}" for cell, c in d.peak_components]
+        assert len(records) == 7366
+        assert hashlib.sha256("\n".join(records).encode()).hexdigest() == self.DIGEST
 
     def test_recompose_rejects_empty_and_mismatched(self):
         from bintab import InvalidTableError
