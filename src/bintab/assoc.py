@@ -31,11 +31,13 @@ The loops over many tables (searches, batteries, Monte Carlo signs) use
 LOR, DI and EX it applies ``np.log``, the identity or ``np.exp`` to the stack;
 for Bahadur it forms the products of the whole stack with ``_bahadur_z``, the
 kernel ``_measure`` runs on one row.  It sums in floating point, with a bound
-on the distance from the ``math.fsum`` result; the rows that bound cannot
-settle (a value within it of the sign threshold, a non-finite sum, a
-degenerate Bahadur marginal) and every row of the aggregate and custom-``h``
-kinds are measured by ``_measure``.  Signs, and every comparison made with
-the bound, are therefore the ones ``_measure`` gives.
+on the distance from the ``math.fsum`` result.  One rule, ``_decided``,
+decides every sign and comparison made from these estimates: a row whose
+margin is not beyond twice the bounds (a value near the sign threshold, a
+non-finite sum, a degenerate Bahadur marginal, and every row of the
+aggregate and custom-``h`` kinds, whose bound is infinite) is measured by
+``_measure`` and tested again.  Signs, and the battery's comparisons, are
+therefore the ones ``_measure`` gives.
 """
 
 from __future__ import annotations
@@ -290,32 +292,43 @@ def _measure_rows(rows: np.ndarray, k: int, kind: AssociationKind) -> _Rows:
             scales = np.abs(terms, out=terms).sum(axis=1)
             bounds = (rows.shape[1] + 16) * _TERM_BOUND * scales
     measured = _Rows(values, scales, bounds, np.zeros(count, dtype=np.int8), {})
-    with np.errstate(invalid="ignore"):
-        margins = np.abs(np.abs(values) - SIGN_TAU * scales)
-    # twice the bound covers the rounding of the threshold too; the
-    # comparison is False on NaN and on an infinite bound
-    _settle(measured, rows, k, kind, np.flatnonzero(~(margins > 2.0 * bounds)))
-    measured.signs[:] = np.where(np.abs(values) <= SIGN_TAU * scales, 0, np.sign(values))
+    measured.signs[:] = _decided(_signs, k, kind, (measured, rows))
     return measured
 
 
-def _settle(measured: _Rows, rows: np.ndarray, k: int, kind: AssociationKind,
-            which: np.ndarray) -> None:
-    """Replace the estimates on rows ``which`` of ``measured`` by ``_measure``'s results.
+def _signs(measured: _Rows):
+    """``thresholded_sign`` of each row, and the margin of its threshold."""
+    values, threshold = measured.values, SIGN_TAU * measured.scales
+    return np.where(np.abs(values) <= threshold, 0, np.sign(values)), (np.abs(values) - threshold,)
 
-    Rows measured exactly already (bound 0) are left as they are; a row on
-    which ``_measure`` raises joins ``errors``.  Signs are not updated.
+
+def _decided(test, k: int, kind: AssociationKind, *stacks) -> np.ndarray:
+    """``test``'s outcome per row as the ``_measure`` results decide it: the one decision rule.
+
+    Each stack is a ``(measured, rows)`` pair, and ``test(*measured)`` returns
+    its outcome per row and the margins of its comparisons.  A row with a
+    margin not beyond twice the stacks' summed bounds (twice covers the
+    rounding of the comparison too; a NaN margin and an infinite bound are
+    never beyond) is measured by ``_measure`` in every stack, unless exact
+    already (bound 0), and the test is taken again.  A row on which
+    ``_measure`` raises joins its stack's ``errors`` with value and scale 0.
     """
-    values, scales, bounds, _, errors = measured
-    for j in which.tolist():
-        if bounds[j] == 0.0:
-            continue
-        try:
-            values[j], scales[j] = _measure(rows[j], k, kind)
-        except BintabError as exc:
-            errors[j] = exc
-            values[j] = scales[j] = 0.0
-        bounds[j] = 0.0
+    measured = [stack for stack, _ in stacks]
+    error = 2.0 * sum(stack.bounds for stack in measured)
+    with np.errstate(invalid="ignore"):  # np.min keeps a NaN margin, so its row is unsure
+        outcome, margins = test(*measured)
+        unsure = np.flatnonzero(~(np.abs(margins).min(axis=0) > error))
+    if not unsure.size:
+        return outcome
+    for (values, scales, bounds, _, errors), rows in stacks:
+        for j in unsure[bounds[unsure] != 0.0].tolist():
+            try:
+                values[j], scales[j] = _measure(rows[j], k, kind)
+            except BintabError as exc:
+                errors[j] = exc
+                values[j] = scales[j] = 0.0
+            bounds[j] = 0.0
+    return test(*measured)[0]
 
 
 def evaluate(table: BinaryTable, kind: AssociationKind | str) -> float:

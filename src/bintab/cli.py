@@ -141,7 +141,6 @@ def cmd_power(args: argparse.Namespace) -> int:
         p = even_parity_mass(table)
     else:
         p = _check_real("--p", args.p, 0, 1)
-        table = table_with_even_mass(2, p)
     row = {
         "N": args.N,
         "p": p,
@@ -151,6 +150,8 @@ def cmd_power(args: argparse.Namespace) -> int:
     }
     if args.mc:
         config["seed"] = _seed(args)
+        if args.table is None:
+            table = table_with_even_mass(2, p)
         freqs = simulate_decisions(table, args.N, DI, args.mc, config["seed"])
         row["empirical"] = freqs["positive"]
         row["replications"] = args.mc

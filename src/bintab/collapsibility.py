@@ -18,12 +18,12 @@ Both loops draw each trial from its own stream keyed by (seed, trial) and
 measure the trials in blocks of stacked entry rows through the batched
 kernel ``assoc._measure_rows``; a block holds at most ``_CELL_BUDGET``
 cells per stack (one trial at least), so memory does not grow with the
-trial budget.  The kernel settles every sign and comparison exactly as the
-scalar ``_measure`` would (rows its error bound cannot settle are measured
-by ``_measure``).  A search's outcome is the first trial that reverses or
-fails; a battery reads each check as a failure mask over a block and raises
-the first error a loop over single trials meets, so witnesses, failure
-counts and typed errors are those of one trial at a time.
+trial budget.  Signs and the battery's rise and invariance comparisons are
+decided by the kernel's one rule, ``assoc._decided``, so they are the ones
+the scalar ``_measure`` gives.  A search's outcome is the first trial that
+reverses or fails; a battery reads each check as a failure mask over a
+block and raises the first error a loop over single trials meets, so
+witnesses, failure counts and typed errors are those of one trial at a time.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ import numpy as np
 from .assoc import (
     AssociationKind,
     SIGN_TAU,
+    _decided,
     _measure,
     _measure_rows,
-    _settle,
     _Rows,
     resolve_kind,
     thresholded_sign,
@@ -281,8 +281,8 @@ def _battery_failures(draws: list, k: int, kind: AssociationKind) -> list:
     rescaled = _measure_rows(rescaled_rows, k, kind)
     swaps = [_measure_rows(np.flip(rows.reshape((count,) + (2,) * k), axis).reshape(count, n),
                            k, kind) for axis in range(1, k + 1)]
-    rises = _settled(_rise, base, bumped, rows, bumped_rows, k, kind)
-    invariant = _settled(_invariance, base, rescaled, rows, rescaled_rows, k, kind)
+    rises = _decided(_rise, k, kind, (base, rows), (bumped, bumped_rows))
+    invariant = _decided(_invariance, k, kind, (base, rows), (rescaled, rescaled_rows))
     flat = constant.signs == 0
     stops = np.array([swap.signs != -base.signs for swap in swaps])
     last = np.where(stops.any(axis=0), stops.argmax(axis=0), k)  # the first swap not to flip
@@ -299,20 +299,6 @@ def _battery_failures(draws: list, k: int, kind: AssociationKind) -> list:
              lambda j: {"constant": const_values[j], "factor": factors[j]}),
             (np.flatnonzero(last < k), lambda j: {"variable": int(last[j]) + 1}),
             (np.flatnonzero(~(invariant & evaluable)), lambda j: {"rescales": rescales[j]})]
-
-
-def _settled(test, base: _Rows, other: _Rows, rows, other_rows, k: int, kind) -> np.ndarray:
-    """``test(base, other)``'s outcome per row as ``_measure`` values decide it.
-
-    ``test`` returns its outcome and its comparisons' margins; rows with a
-    margin within twice the bounds are measured exactly and tested again.
-    """
-    _, margins = test(base, other)
-    error = 2.0 * (base.bounds + other.bounds)
-    unsure = np.flatnonzero(np.any([np.abs(margin) <= error for margin in margins], axis=0))
-    _settle(base, rows, k, kind, unsure)
-    _settle(other, other_rows, k, kind, unsure)
-    return test(base, other)[0]
 
 
 def _rise(base: _Rows, bumped: _Rows):

@@ -40,6 +40,7 @@ from .table import (
     BinaryTable,
     _check_count,
     _check_real,
+    _derived_table,
     _finite_totals,
     parity_signs,
 )
@@ -61,12 +62,15 @@ def even_parity_mass(table: BinaryTable) -> float:
 
 
 def table_with_even_mass(k: int, p_even: float) -> BinaryTable:
-    """Normalized table, constant within each parity class, with the given even mass."""
+    """Normalized table, constant within each parity class, with the given even mass.
+
+    Raises :class:`EvaluationError` when a class's share of its mass underflows to 0.
+    """
     k = _check_count("k", k, 1, MAX_DIM)  # k=0 has no odd cell to carry 1 - p_even
     p_even = _check_real("p_even", p_even, 0, 1)
     half = 2 ** (k - 1)
-    entries = np.where(parity_signs(k) > 0, p_even / half, (1.0 - p_even) / half)
-    return BinaryTable(k, entries)
+    return _derived_table(k, f"the table with even mass {p_even!r}", lambda: np.where(
+        parity_signs(k) > 0, p_even / half, (1.0 - p_even) / half))
 
 
 #: Log-factorials ``lgamma(x + 1)`` are memoized in blocks of ``_LF_BLOCK``

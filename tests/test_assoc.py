@@ -39,7 +39,7 @@ from bintab import (
     swap_category,
     thresholded_sign,
 )
-from bintab.assoc import SIGN_TAU, _bahadur_z, _measure, _measure_rows
+from bintab.assoc import SIGN_TAU, _bahadur_z, _decided, _measure, _measure_rows, _Rows
 from oracles import recursive_contrast
 
 # k=3 distributions: one cell heavy vs. near-degenerate corner
@@ -324,6 +324,53 @@ class TestMeasureRows:
         assert not got.bounds.any()
         assert got.values.tolist() == [evaluate(BinaryTable(3, row), kind) for row in rows]
         assert got.signs.tolist() == [sign(BinaryTable(3, row), kind) for row in rows]
+
+
+def _lor_stack(rows, values, bounds):
+    """A hand-made ``(measured, rows)`` stack of LOR estimates with scale 1."""
+    count = len(values)
+    measured = _Rows(np.array(values), np.ones(count), np.array(bounds),
+                     np.zeros(count, np.int8), {})
+    return measured, rows
+
+
+DECIDED_ROWS = np.array([[1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 1.0, 5.0], [1.0, 2.0, 3.0, 4.0],
+                         [0.0, 1.0, 1.0, 1.0], [2.0, 1.0, 1.0, 5.0]])
+
+
+class TestDecided:
+    """``_decided`` measures the rows its margins cannot settle, and no others."""
+
+    def test_each_row_as_its_margin_and_bound_decide(self):
+        measured, rows = stack = _lor_stack(DECIDED_ROWS, [math.nan, 7.0, 0.0, 1e-13, 5.0],
+                                            [1e-12, 1e-12, 0.0, 1e-12, math.inf])
+        got = _decided(lambda m: (m.values > 0, (m.values,)), 2, LOR, stack)
+        exact = [_measure(rows[j], 2, LOR) for j in (0, 4)]
+        # a NaN margin and an infinite bound are unsure: measured exactly
+        assert [(measured.values[j], measured.scales[j]) for j in (0, 4)] == exact
+        # a row beyond its margin keeps its estimate and its nonzero bound
+        assert (measured.values[1], measured.scales[1], measured.bounds[1]) == (7.0, 1.0, 1e-12)
+        # an exact row is not measured again, even on a zero margin
+        assert (measured.values[2], measured.scales[2]) == (0.0, 1.0)
+        # an erring row joins errors with value and scale 0
+        assert list(measured.errors) == [3]
+        with pytest.raises(EvaluationError) as want:
+            _measure(rows[3], 2, LOR)
+        assert str(measured.errors[3]) == str(want.value)
+        assert (measured.values[3], measured.scales[3]) == (0.0, 0.0)
+        assert measured.bounds.tolist() == [0.0, 1e-12, 0.0, 0.0, 0.0]
+        assert got.tolist() == [False, True, False, False, True]
+
+    def test_an_unsure_row_is_measured_in_every_stack(self):
+        base = _lor_stack(DECIDED_ROWS[:2], [1.0, 2.0], [1e-12, 1e-12])
+        bumped = _lor_stack(DECIDED_ROWS[1:3], [1.0 + 1e-13, 9.0], [1e-12, 1e-12])
+        # the nearest margin decides, however far the others are
+        got = _decided(lambda a, b: (b.values > a.values, (b.values - a.values, a.values + 1e9)),
+                       2, LOR, base, bumped)
+        assert base[0].values.tolist() == [_measure(DECIDED_ROWS[0], 2, LOR)[0], 2.0]
+        assert bumped[0].values.tolist() == [_measure(DECIDED_ROWS[1], 2, LOR)[0], 9.0]
+        assert base[0].bounds.tolist() == bumped[0].bounds.tolist() == [0.0, 1e-12]
+        assert got.tolist() == [True, True]
 
 
 def _bahadur_threshold_rows(k, seed=None):

@@ -448,6 +448,16 @@ class TestCliPower:
         assert code == 0
         assert json.loads(out)["result"]["p"] == 0.5
 
+    def test_mass_whose_half_underflows(self, capsys):
+        # the Monte Carlo table's even cells would hold 5e-324 / 2 == 0.0
+        code, out = run_cli(capsys, "power", "--N", "10", "--p", "5e-324", "--format", "csv")
+        assert code == 0
+        assert out.strip().splitlines()[1].split(",")[2] == "0.0"
+        code, out = run_cli(capsys, "power", "--N", "10", "--p", "5e-324", "--mc", "5",
+                            "--seed", "1")
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "EvaluationError"
+
     def test_requires_exactly_one_source(self, capsys, stack_file):
         code, _ = run_cli(capsys, "power", "--N", "100")
         assert code == 2

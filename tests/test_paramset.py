@@ -197,6 +197,23 @@ class TestLorParams:
         want[0] = math.fsum(np.log(big))
         assert np.max(np.abs(got - want)) < 1e-12
 
+    def test_lattice_k_is_bounded_before_any_allocation(self):
+        # the (3,)^k lattice grows x3 per k: 28 and 53 MiB peaks at k = 13
+        table = BinaryTable.constant(17, 1.0)
+        params = ParamSet(17, "lor", np.zeros(2**17))
+        message = r"^k must be an integer in \[0, 16\], got 17$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidTableError, match=message):
+                full_params(table, "lor")
+            with pytest.raises(InvalidTableError, match=message):
+                lor_inverse(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        assert full_params(table, "di").values[0] == 2.0**17  # the butterfly has no lattice
+
     def test_uniform_lor_params_vanish(self):
         ps = full_params(BinaryTable.constant(3, 1.0), "lor")
         assert np.all(ps.values == 0.0)

@@ -54,6 +54,13 @@ class TestEvenParityMass:
         with pytest.raises(InvalidTableError):
             table_with_even_mass(2, 1.0)
 
+    def test_underflowing_class_share_is_an_evaluation_error(self):
+        # a valid p_even whose share per cell rounds to 0.0 is a float-range failure
+        with pytest.raises(EvaluationError, match="leaves the float range"):
+            table_with_even_mass(20, 1e-318)
+        with pytest.raises(EvaluationError, match="leaves the float range"):
+            table_with_even_mass(2, 5e-324)
+
 
 class TestExactTail:
     def test_single_draw(self):
