@@ -14,8 +14,13 @@ rescaling.  Failures are expected for some kinds (DI and EX both depend
 on more than the conditional structure) and are reported with replayable
 witnesses rather than raised.
 
-Both loops draw each trial from its own stream keyed by (seed, trial) and
-measure the trials in blocks of stacked entry rows through the batched
+Both loops draw each trial from its own stream keyed by (seed, trial), the
+stream of ``np.random.default_rng((seed, trial))`` bit for bit: the streams
+of a block come from ``table._keyed_generators``, which seeds them in one
+vectorized pass and falls back to ``default_rng`` for blocks under 8 trials
+and outside that pass's word range (a seed of 2^96 or more, a trial of 2^32
+or more).  They measure the
+trials in blocks of stacked entry rows through the batched
 kernel ``assoc._measure_rows``; a block holds at most ``_CELL_BUDGET``
 cells per stack (one trial at least), so memory does not grow with the
 trial budget.  Signs and the battery's rise and invariance comparisons are
@@ -44,7 +49,7 @@ from .assoc import (
     thresholded_sign,
 )
 from .errors import EvaluationError
-from .table import MAX_DIM, BinaryTable, _check_count, _pair_cells
+from .table import MAX_DIM, BinaryTable, _check_count, _keyed_generators, _pair_cells
 
 #: Entry cells in one stack of rows that a search or battery measures at once
 #: (64 KiB of float64).  A block holds ``_CELL_BUDGET >> k`` trials, at least
@@ -73,7 +78,7 @@ def _keyed_blocks(k: int, trials: int, seed: int, first: int, draw):
     start, size = 0, first
     while start < trials:
         stop = min(trials, start + min(size, max(1, _CELL_BUDGET >> k)))
-        yield [draw(k, np.random.default_rng((seed, trial))) for trial in range(start, stop)]
+        yield [draw(k, rng) for rng in _keyed_generators(seed, range(start, stop))]
         start, size = stop, 2 * size
 
 

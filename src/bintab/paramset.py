@@ -234,9 +234,9 @@ def lor_inverse(params: ParamSet, tol: float = 1e-8, max_iter: int = 10_000) -> 
     that sends a cell out of the float range or does not lower the residual.
 
     Raises :class:`NonRealizableParamsError` naming the first mask whose
-    fitted lower margins admit no positive marginal beyond rounding,
-    :class:`EvaluationError` when a mask's bracket closes within rounding
-    (ill-conditioned), a fitted cell underflows relative to the total or
+    fitted lower margins admit no positive marginal beyond rounding and
+    ``tol``, :class:`EvaluationError` when a mask's bracket closes within
+    them (ill-conditioned), a fitted cell underflows relative to the total or
     an entry leaves the float range in the rescale, and
     :class:`ConvergenceError` when the residual (max absolute deviation)
     stays at or above ``tol``.
@@ -249,7 +249,7 @@ def lor_inverse(params: ParamSet, tol: float = 1e-8, max_iter: int = 10_000) -> 
     target = params.values
     tables = (_memo_mask_tables if k <= _MEMO_K else _mask_tables)(k)
     with np.errstate(all="ignore"):
-        p = _sweep(target, tables, max_iter)
+        p = _sweep(target, tables, tol, max_iter)
         r = _lor_lattice(p) - target
         residual = np.max(np.abs(r[1:]), initial=0.0)
         passes = 0
@@ -321,11 +321,12 @@ _X_BOUND = 750.0
 _TINY = np.finfo(np.float64).tiny
 
 #: Rounding bound of ``q0`` (signed sums of the known values over 2^d), in units of
-#: ``sum|known| / 2^d``: a bracket closed by less is ill-conditioned, not non-realizable.
+#: ``sum|known| / 2^d``: a bracket closed by less, or by less than the fit's ``tol``,
+#: is ill-conditioned, not non-realizable.
 _SLACK = 64 * 2**-52
 
 
-def _sweep(target: np.ndarray, tables, max_iter: int) -> np.ndarray:
+def _sweep(target: np.ndarray, tables, tol: float, max_iter: int) -> np.ndarray:
     """Entries summing to 1 whose LOR values at the nonempty masks are ``target``'s.
 
     For the masks of dimension d, the marginal is ``q0 + delta * s``: ``q0``
@@ -333,7 +334,8 @@ def _sweep(target: np.ndarray, tables, max_iter: int) -> np.ndarray:
     (top coefficient 0), ``s`` the parity signs, ``delta`` the mask's DI
     value over ``2^d``.  The marginal is positive for ``delta`` in
     ``(lo, hi)``, from the even and the odd cells of ``q0``; an empty
-    interval means no positive table has these lower margins.  With
+    interval, closed by more than ``max(_SLACK, tol)`` units of
+    ``sum|known| / 2^d``, means no positive table has these lower margins.  With
     ``delta = lo + width * sigmoid(x)`` each cell is a non-negative offset
     plus a positive term (:func:`_marginal_cells`), so none loses digits to
     cancellation, and :func:`_logistic_roots` finds ``x``.  The last
@@ -353,14 +355,16 @@ def _sweep(target: np.ndarray, tables, max_iter: int) -> np.ndarray:
         width = hi - lo
         closed = np.flatnonzero(~(width > 0))
         if closed.size:
-            past = closed[width[closed] < -_SLACK * np.abs(known[closed]).sum(axis=1) / size]
+            slack = max(_SLACK, tol) * np.abs(known[closed]).sum(axis=1) / size
+            past = closed[width[closed] < -slack]
             if past.size:
                 raise NonRealizableParamsError(
                     f"LOR targets are not realizable: no positive marginal over "
                     f"{_mask_name(int(masks[past[0]]), k)} has the lower margins fitted so far")
             raise EvaluationError(
                 f"LOR fit is ill-conditioned: the bracket of the marginal over "
-                f"{_mask_name(int(masks[closed[0]]), k)} closes within the rounding of its cells")
+                f"{_mask_name(int(masks[closed[0]]), k)} closes within the rounding of its cells "
+                "or the fit's tol")
         low, high = q0[:, even] + lo[:, None], q0[:, ~even] - hi[:, None]
         x = _logistic_roots(low, high, width, target[masks], max_iter)
         marginals = np.empty_like(q0)

@@ -16,6 +16,10 @@ Conventions used throughout the package:
 * Entries are strictly positive reals; they need not sum to 1.  Arrays
   with zeros (e.g. sampled counts) are handled by dedicated code paths
   outside this module, never by ``BinaryTable``.
+
+The module also holds the shared checks of every argument and the keyed
+random streams (:func:`_keyed_generators`) that the seeded loops of
+``collapsibility`` and ``sampling`` draw from.
 """
 
 from __future__ import annotations
@@ -313,3 +317,95 @@ def _pair_cells(k: int, i: int, suffix: tuple[int, ...]) -> list[int]:
     """Flat indices of the two ``V_i`` categories at the other variables' cell ``suffix``."""
     first = cell_to_index(suffix[: i - 1] + (1,) + suffix[i - 1 :])
     return [first, first | 1 << (k - i)]
+
+
+def _hashmixes(init: int, mult: int, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Xor and multiplier columns of SeedSequence's hashmixes number ``indices``: the
+    i-th xors ``init * mult^i`` and multiplies by ``init * mult^(i + 1)``, mod 2^32."""
+    return tuple(np.array([init * pow(mult, i + step, 1 << 32) % (1 << 32) for i in indices],
+                          dtype=np.uint32)[:, None] for step in (0, 1))
+
+
+#: numpy's ``SeedSequence`` with its 4-word pool, in uint32 columns over the
+#: lanes: hashmixes 0-3 fill the pool, and source lane s mixes into each other
+#: lane d with hashmix ``4 + 3 s + d - (d > s)`` (row s is discarded).  Eight
+#: state hashes make PCG64's four uint64 seed words, and ``_PCG64_MULT`` is
+#: PCG64's 128-bit multiplier.  Scalars are 0-d arrays, which numpy
+#: broadcasts faster than scalars.
+_FILL = _hashmixes(0x43B0D7E5, 0x931E8875, range(4))
+_MIXES = [_hashmixes(0x43B0D7E5, 0x931E8875, [4 + 3 * s + d - (d > s) for d in range(4)])
+          for s in range(4)]
+_STATE = _hashmixes(0x8B51F9DD, 0x58F38DED, range(8))
+_MIX_L, _MIX_R, _SHIFT = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+#: Fewer keys than this take ``default_rng`` one at a time: the seeding pass of
+#: a block costs about 35 us whatever its size and saves about 10 us per key,
+#: so it starts to pay at about 6 keys (2-core Xeon, numpy 2.4.6).
+_KEYED_MIN = 8
+
+#: Keys seeded in one pass, so memory does not grow with the key count.
+_KEYED_BLOCK = 1 << 12
+
+
+def _hashmix(values: np.ndarray, columns: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """SeedSequence's hashmix of each row of ``values`` with that row's constants."""
+    xor, mult = columns
+    values = (values ^ xor) * mult
+    return values ^ values >> _SHIFT
+
+
+def _pcg64_seeds(seed_words: list[int], keys: range) -> list[tuple[int, int]]:
+    """``(initstate, initseq)`` of ``PCG64(SeedSequence((seed, key)))`` for each key.
+
+    ``seed_words`` (at most 3) and one word per key fill the 4-word pool.  The
+    pools of all keys are mixed at once, in uint32 lanes that wrap as
+    SeedSequence's C arithmetic does.
+    """
+    pool = np.zeros((4, len(keys)), dtype=np.uint32)
+    pool[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    pool[len(seed_words)] = np.arange(keys.start, keys.stop, keys.step, dtype=np.uint32)
+    pool = _hashmix(pool, _FILL)
+    for src, columns in enumerate(_MIXES):  # each lane mixes into the other three
+        mixed = pool * _MIX_L - _hashmix(pool[src], columns) * _MIX_R
+        mixed ^= mixed >> _SHIFT
+        mixed[src] = pool[src]
+        pool = mixed
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE).astype(np.uint64)
+    limbs = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
+    return [(s0 << 64 | s1, i0 << 64 | i1) for s0, s1, i0, i1 in zip(*limbs)]
+
+
+def _keyed_generators(seed: int, keys: range):
+    """For each key of the ascending ``keys``, a Generator in the state of
+    ``np.random.default_rng((seed, key))``.
+
+    Each yielded generator is valid only until the next one is yielded.  A
+    block of keys takes a fast path when the seed is below 2^96 and every
+    key below 2^32 (their 32-bit words fit SeedSequence's 4-word pool) and
+    it holds at least ``_KEYED_MIN`` keys: the first key's ``default_rng``
+    is yielded and then set to each further key's PCG64 state, seeded for
+    the whole block in one vectorized pass (:func:`_pcg64_seeds`).  Other
+    blocks take ``default_rng`` key by key.  The draws are bit for bit
+    those of ``default_rng((seed, key))`` either way.
+    """
+    seed_words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    for first in range(0, len(keys), _KEYED_BLOCK):
+        block = keys[first:first + _KEYED_BLOCK]
+        fast = len(block) >= _KEYED_MIN and len(seed_words) <= 3 and not block[-1] >> 32
+        for key in block[:1] if fast else block:
+            generator = np.random.default_rng((seed, key))
+            yield generator
+        if fast:
+            for initstate, initseq in _pcg64_seeds(seed_words, block[1:]):
+                # PCG64's seeding: from state 0, one LCG step, add initstate, one more step
+                inc = (initseq << 1 | 1) & _MASK128
+                state = ((inc + initstate) * _PCG64_MULT + inc) & _MASK128
+                generator.bit_generator.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                yield generator

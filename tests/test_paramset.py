@@ -281,6 +281,18 @@ class TestLorParams:
         with pytest.raises(EvaluationError, match=r"ill-conditioned.*mask 11 \(variables 1, 2\)"):
             lor_inverse(full_params(t, "lor"))
 
+    @pytest.mark.parametrize("k, i, mask", [(5, 265, r"00111 \(variables 3, 4, 5\)"),
+                                            (6, 182, r"001110 \(variables 3, 4, 5\)")])
+    def test_bracket_closed_within_tol_is_ill_conditioned(self, k, i, mask):
+        # targets of positive tables at spreads near 185 whose brackets close by
+        # about 130 units of 2^-52 sum|known| / 2^d: past the 64-unit rounding
+        # bound, so they were once called non-realizable, but within tol
+        rng = np.random.default_rng((42, k, i))
+        spread = rng.uniform(1, 300)
+        t = BinaryTable(k, np.exp(rng.uniform(-spread, spread, 2**k)))
+        with pytest.raises(EvaluationError, match=f"ill-conditioned.*mask {mask}"):
+            lor_inverse(full_params(t, "lor"))
+
     def test_log_product_beyond_float_range(self):
         with pytest.raises(EvaluationError, match="float range"):
             lor_inverse(ParamSet(1, "lor", np.array([3000.0, 0.0])))
