@@ -15,11 +15,12 @@ on more than the conditional structure) and are reported with replayable
 witnesses rather than raised.
 
 Both loops draw each trial from its own stream keyed by (seed, trial), the
-stream of ``np.random.default_rng((seed, trial))`` bit for bit: the streams
-of a block come from ``table._keyed_generators``, which seeds them in one
-vectorized pass and falls back to ``default_rng`` for blocks under 8 trials
-and outside that pass's word range (a seed of 2^96 or more, a trial of 2^32
-or more).  They measure the
+stream of ``np.random.default_rng((seed, trial))`` bit for bit, from
+``table._keyed_generators``.  A trial takes one ``random_raw`` of its
+stream's words, decoded as numpy's Generator would draw from them: a search
+trial's 2^k words are its entries; a battery trial's are laid out in
+``_battery_draws``.  The Monte Carlo of ``sampling`` stays on the Generator,
+whose binomial takes a varying count of words.  The loops measure the
 trials in blocks of stacked entry rows through the batched
 kernel ``assoc._measure_rows``; a block holds at most ``_CELL_BUDGET``
 cells per stack (one trial at least), so memory does not grow with the
@@ -49,7 +50,7 @@ from .assoc import (
     thresholded_sign,
 )
 from .errors import EvaluationError
-from .table import MAX_DIM, BinaryTable, _check_count, _keyed_generators, _pair_cells
+from .table import MAX_DIM, BinaryTable, _check_count, _keyed_generators, index_to_cell
 
 #: Entry cells in one stack of rows that a search or battery measures at once
 #: (64 KiB of float64).  A block holds ``_CELL_BUDGET >> k`` trials, at least
@@ -62,24 +63,27 @@ _CELL_BUDGET = 1 << 13
 _FIRST_BLOCK = 8
 
 
-def _random_entries(k: int, rng: np.random.Generator) -> np.ndarray:
-    return np.exp(rng.uniform(-3.0, 3.0, size=2**k))
-
-
 def random_table(k: int, rng: np.random.Generator) -> BinaryTable:
     """Entrywise log-uniform table on [e^-3, e^3]."""
     k = _check_count("k", k, 0, MAX_DIM)  # before 2^k draws are allocated
-    return BinaryTable(k, _random_entries(k, rng))
+    return BinaryTable(k, np.exp(rng.uniform(-3.0, 3.0, size=2**k)))
 
 
-def _keyed_blocks(k: int, trials: int, seed: int, first: int, draw):
-    """Lists of ``draw(k, rng)`` for trials 0..``trials``-1, ``rng`` keyed by (seed, trial):
+def _keyed_blocks(k: int, trials: int, seed: int, first: int, count: int):
+    """``(start, words)`` for trials 0..``trials``-1 in blocks: ``words[j]`` holds the first
+    ``count`` raw PCG64 words of trial ``start + j``'s stream, keyed by (seed, trial);
     ``first`` trials, then twice as many each time, within the cell budget."""
     start, size = 0, first
     while start < trials:
         stop = min(trials, start + min(size, max(1, _CELL_BUDGET >> k)))
-        yield [draw(k, rng) for rng in _keyed_generators(seed, range(start, stop))]
+        yield start, np.array([rng.bit_generator.random_raw(count)
+                               for rng in _keyed_generators(seed, range(start, stop))])
         start, size = stop, 2 * size
+
+
+def _uniforms(words: np.ndarray, low: float, high: float) -> np.ndarray:
+    """The doubles ``Generator.uniform(low, high)`` makes of raw PCG64 words, one a word."""
+    return low + (high - low) * ((words >> 11) * 2.0**-53)
 
 
 def _strata(arr: np.ndarray, axes: tuple[int, ...]) -> list[np.ndarray]:
@@ -155,7 +159,8 @@ def paradox_search(
     k = _check_count("k", k, 2, MAX_DIM)  # one variable to collapse, one left
     trials = _check_count("trials", trials)
     seed = _check_count("seed", seed)
-    for rows in map(np.stack, _keyed_blocks(k, trials, seed, _FIRST_BLOCK, _random_entries)):
+    for _, words in _keyed_blocks(k, trials, seed, _FIRST_BLOCK, 2**k):
+        rows = np.exp(_uniforms(words, -3.0, 3.0))
         hit = _first_reversal(rows, k, kind)
         if hit is not None:
             return BinaryTable(k, rows[hit])
@@ -237,31 +242,83 @@ def property_battery(
     witness_cap = _check_count("witness_cap", witness_cap)
     counts = {name: 0 for name in PropertyBatterySummary.PROPERTIES}
     witnesses: dict[str, list[dict]] = {name: [] for name in PropertyBatterySummary.PROPERTIES}
-    for draws in _keyed_blocks(k, trials, seed, _CELL_BUDGET, _battery_draws):
+    # 2^k entries, constant, bump factor, 1 + 3 (k - 1 + (k > 1)) halves, 3 factors; 2 spare
+    count = 2**k + 2 + (2 + 3 * (k - 1 + (k > 1))) // 2 + 3 + 2
+    for start, words in _keyed_blocks(k, trials, seed, _CELL_BUDGET, count):
+        draws = _battery_draws(words, k, seed, start)
         failures = _battery_failures(draws, k, kind)
         for name, (failing, operation) in zip(PropertyBatterySummary.PROPERTIES, failures):
             counts[name] += len(failing)
             for j in failing[: witness_cap - len(witnesses[name])].tolist():
-                witnesses[name].append({"table": BinaryTable(k, draws[j][0]), **operation(j)})
+                witnesses[name].append({"table": BinaryTable(k, draws[0][j]), **operation(j)})
     return PropertyBatterySummary(kind=kind.name, k=k, trials=trials, seed=seed,
                                   failures=counts, witnesses=witnesses)
 
 
-def _battery_draws(k: int, rng: np.random.Generator) -> tuple:
-    """One trial's table entries, constant, bump factor and rescale operations."""
-    entries = _random_entries(k, rng)
-    const_value = float(np.exp(rng.uniform(-3.0, 3.0)))
-    factor = float(np.exp(rng.uniform(0.1, 1.0)))
-    rescales = []
-    for _ in range(int(rng.integers(1, 4))):
-        i = int(rng.integers(1, k + 1))
-        suffix = tuple(int(j) for j in rng.integers(1, 3, size=k - 1))
-        c = float(np.exp(rng.uniform(-2.0, 2.0)))
-        rescales.append({"variable": i, "suffix": suffix, "factor": c})
-    return entries, const_value, factor, rescales
+def _battery_draws(words: np.ndarray, k: int, seed: int, start: int) -> tuple:
+    """Entry rows, constants, bump factors, rescaled rows and a function giving a trial's
+    rescale operations, from a block's words: per trial its 2^k entries, constant and bump
+    factor, a double a word, then the words :func:`_rescale_walk` walks, drawn again twice as
+    many when they run out.  One pass per rescale step multiplies the cells in draw order."""
+    n = 2**k
+    rows = np.exp(_uniforms(words[:, :n], -3.0, 3.0))
+    constants = np.exp(_uniforms(words[:, n], -3.0, 3.0))
+    factors = np.exp(_uniforms(words[:, n + 1], 0.1, 1.0))
+    walks = []
+    for trial, tail in enumerate(words[:, n + 2:].tolist(), start):
+        while True:
+            try:
+                walks.append(_rescale_walk(tail, k))
+                break
+            except IndexError:  # rejections ran past the words drawn, about 2^-32 a draw
+                rng = next(_keyed_generators(seed, range(trial, trial + 1)))
+                tail = rng.bit_generator.random_raw(n + 2 + 2 * len(tail))[n + 2:].tolist()
+    # up to three rescales a trial, the missing ones by 1.0 (the word 2^63), which is exact
+    ops = np.array([walk + [(1, 0, 1 << 63)] * (3 - len(walk)) for walk in walks], np.uint64)
+    rescale_factors = np.exp(_uniforms(ops[..., 2], -2.0, 2.0))
+    rescaled_rows, every = rows.copy(), np.arange(len(walks))
+    for variables, firsts, c in zip(ops[..., 0].T, ops[..., 1].T, rescale_factors.T):
+        for cells in (firsts, firsts | 1 << (k - variables)):
+            rescaled_rows[every, cells] *= c
+
+    def rescales(j: int) -> list[dict]:
+        cells = [index_to_cell(first, k) for _, first, _ in walks[j]]
+        return [{"variable": i, "suffix": cell[:i - 1] + cell[i:], "factor": float(c)}
+                for (i, _, _), cell, c in zip(walks[j], cells, rescale_factors[j])]
+
+    return rows, constants, factors, rescaled_rows, rescales
 
 
-def _battery_failures(draws: list, k: int, kind: AssociationKind) -> list:
+def _rescale_walk(words: list[int], k: int) -> list[tuple[int, int, int]]:
+    """A battery trial's rescales, ``(variable, first pair cell, factor word)`` each, drawn as
+    numpy's Generator draws ``integers(1, 4)`` rescales of ``integers(1, k + 1)``,
+    ``integers(1, 3, size=k - 1)`` and ``uniform(-2, 2)``: an integer below r > 1 is
+    Lemire's ``half * r >> 32`` of a 32-bit half (low half first, the high one kept), taking
+    the next half while ``half * r`` mod 2^32 is below ``(2^32 - r) % r``; a double takes a
+    fresh word.  IndexError when the words run out."""
+    at, spare = 0, []
+
+    def below(r: int) -> int:
+        nonlocal at
+        while r > 1:
+            if not spare:
+                spare.extend((words[at] >> 32, words[at] & 0xFFFFFFFF))
+                at += 1
+            high, low = divmod(spare.pop() * r, 1 << 32)
+            if low >= (2**32 - r) % r:
+                return high
+        return 0
+
+    walk = []
+    for _ in range(1 + below(3)):
+        variable = 1 + below(k)
+        first = sum(below(2) << (k - p) for p in range(1, k + 1) if p != variable)
+        walk.append((variable, first, words[at]))
+        at += 1
+    return walk
+
+
+def _battery_failures(draws: tuple, k: int, kind: AssociationKind) -> list:
     """Each property's failing trials of a block, with a function giving one's witness operation.
 
     The trials' tables and their constant, bumped, rescaled and swapped tables
@@ -271,17 +328,12 @@ def _battery_failures(draws: list, k: int, kind: AssociationKind) -> list:
     that does not flip, then a rescaled-table error other than an
     ``EvaluationError`` (which fails the invariance check).
     """
-    entries, const_values, factors, rescales = zip(*draws)
-    count, n = len(draws), 2**k
-    rows = np.stack(entries)
+    rows, const_values, factors, rescaled_rows, rescales = draws
+    count, n = rows.shape
     bumped_rows = rows.copy()
     bumped_rows[:, 0] *= factors
-    rescaled_rows = rows.copy()
-    for row, ops in zip(rescaled_rows, rescales):
-        for op in ops:
-            row[_pair_cells(k, op["variable"], op["suffix"])] *= op["factor"]
     base = _measure_rows(rows, k, kind)
-    constant = _measure_rows(np.repeat(np.array(const_values)[:, None], n, axis=1), k, kind)
+    constant = _measure_rows(np.repeat(const_values[:, None], n, axis=1), k, kind)
     bumped = _measure_rows(bumped_rows, k, kind)
     rescaled = _measure_rows(rescaled_rows, k, kind)
     swaps = [_measure_rows(np.flip(rows.reshape((count,) + (2,) * k), axis).reshape(count, n),
@@ -301,9 +353,9 @@ def _battery_failures(draws: list, k: int, kind: AssociationKind) -> list:
     if first:
         raise first[min(first)]
     return [(np.flatnonzero(~(flat & rises)),
-             lambda j: {"constant": const_values[j], "factor": factors[j]}),
+             lambda j: {"constant": float(const_values[j]), "factor": float(factors[j])}),
             (np.flatnonzero(last < k), lambda j: {"variable": int(last[j]) + 1}),
-            (np.flatnonzero(~(invariant & evaluable)), lambda j: {"rescales": rescales[j]})]
+            (np.flatnonzero(~(invariant & evaluable)), lambda j: {"rescales": rescales(j)})]
 
 
 def _rise(base: _Rows, bumped: _Rows):

@@ -296,8 +296,9 @@ def rescale_conditional_pair(
     i = _check_count("variable", i, 1, table.k)
     c = _check_real("c", c, 0)
     sfx = validate_cell(suffix, table.k - 1)
+    first = cell_to_index(sfx[: i - 1] + (1,) + sfx[i - 1 :])
     factors = np.ones(2**table.k)
-    factors[_pair_cells(table.k, i, sfx)] = c
+    factors[[first, first | 1 << (table.k - i)]] = c
     return _derived_table(table.k, f"the rescale by {c!r}", lambda: table.entries * factors)
 
 
@@ -311,12 +312,6 @@ def _derived_table(k: int, what: str, entries) -> BinaryTable:
         return BinaryTable(k, values)
     except InvalidTableError as exc:  # the input was valid: inf or 0 from the arithmetic
         raise EvaluationError(f"{what} leaves the float range: {exc}") from exc
-
-
-def _pair_cells(k: int, i: int, suffix: tuple[int, ...]) -> list[int]:
-    """Flat indices of the two ``V_i`` categories at the other variables' cell ``suffix``."""
-    first = cell_to_index(suffix[: i - 1] + (1,) + suffix[i - 1 :])
-    return [first, first | 1 << (k - i)]
 
 
 def _hashmixes(init: int, mult: int, indices) -> tuple[np.ndarray, np.ndarray]:
@@ -340,9 +335,9 @@ _MIX_L, _MIX_R, _SHIFT = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
-#: Fewer keys than this take ``default_rng`` one at a time: the seeding pass of
-#: a block costs about 35 us whatever its size and saves about 10 us per key,
-#: so it starts to pay at about 6 keys (2-core Xeon, numpy 2.4.6).
+#: Fewer keys than this take ``default_rng`` one at a time: with 8 to 20 raw words
+#: drawn a key, a seeded block costs about 70 us plus 5 us a key, ``default_rng``
+#: about 17 us a key, so the pass pays from about 6 keys (2-core Xeon, numpy 2.4.6).
 _KEYED_MIN = 8
 
 #: Keys seeded in one pass, so memory does not grow with the key count.

@@ -22,12 +22,23 @@ from bintab import (
     evaluate,
     paradox_search,
     property_battery,
+    cell_to_index,
     random_table,
     rescale_conditional_pair,
     simpson_scan,
     simulate_decisions,
 )
-from bintab.collapsibility import PropertyBatterySummary, _first_reversal, _random_entries
+from bintab import collapsibility
+from bintab.collapsibility import (
+    PropertyBatterySummary,
+    _battery_draws,
+    _CELL_BUDGET,
+    _first_reversal,
+    _keyed_blocks,
+    _rescale_walk,
+    _uniforms,
+)
+from bintab.table import _PCG64_MULT
 from oracles import additivity_sign_check, scalar_battery, scalar_search
 
 # three binary variables; collapsing over the third reverses EX but not LOR
@@ -368,8 +379,8 @@ class TestBlockedLoopsMatchScalarOracle:
         # reverses over variable 1 and fails on variable 3, where a scan of
         # the row alone raises; row (1, 18) only reverses
         fragile = ORACLE_KINDS["fragile"]
-        row = _random_entries(3, np.random.default_rng((1, 13)))
-        reverses = _random_entries(3, np.random.default_rng((1, 18)))
+        row = random_table(3, np.random.default_rng((1, 13))).entries
+        reverses = random_table(3, np.random.default_rng((1, 18))).entries
         assert collapse_check(BinaryTable(3, row), fragile, 1).paradox
         assert any(r.paradox for r in simpson_scan(BinaryTable(3, reverses), [fragile]))
         message = "h failed on a table entry: fragile entry 26.65036701114654"
@@ -431,3 +442,129 @@ class TestMemoryBound:
     def test_large_k_stays_small(self, run):
         # one k=16 table is 512 KiB; a block is one trial
         assert _peak_bytes(run) < 2**23
+
+
+def _emitting(word: int) -> np.random.Generator:
+    """A PCG64 Generator whose next raw word is ``word``.
+
+    PCG64 steps its 128-bit state s to ``s * M + inc`` and outputs the xor of the
+    new state's 64-bit halves rotated by its top 6 bits, so the state ``word``
+    (high half 0) outputs ``word``.  The state before it is one step inverted,
+    ``(word - inc) / M`` mod 2^128, since the multiplier M is odd.
+    """
+    inc = 0xDA3E39CB94B95BDB
+    generator = np.random.Generator(np.random.PCG64(0))
+    generator.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": (word - inc) * pow(_PCG64_MULT, -1, 2**128) % 2**128, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return generator
+
+
+def _generator_rescales(rng: np.random.Generator, k: int) -> list:
+    """``(variable, suffix, uniform)`` of each rescale, drawn as a battery trial draws them."""
+    rescales = []
+    for _ in range(int(rng.integers(1, 4))):
+        i = int(rng.integers(1, k + 1))
+        suffix = tuple(int(j) for j in rng.integers(1, 3, size=k - 1))
+        rescales.append((i, suffix, rng.uniform(-2.0, 2.0)))
+    return rescales
+
+
+class TestRescaleWalk:
+    """The walk over raw words draws the rescales numpy's Generator draws, rejections included."""
+
+    # (first word, k, words numpy's integers(1, 4) takes): a low half of 0 is
+    # rejected for every r that is not a power of two, r = 3 and 5 here
+    CASES = [
+        (0xFFFFFFFF_00000000, 3, 1),  # the rescale count rejects its first half
+        (0, 3, 2),  # it rejects both halves of the word
+        (0x00000000_FFFFFFFF, 3, 1),  # 3 rescales; the first variable rejects a half
+        (0x00000000_FFFFFFFF, 5, 1),
+        (0, 1, 2),  # k = 1 draws no variable and no suffix
+        (0, 2, 2),
+    ]
+
+    @pytest.mark.parametrize("word, k, taken", CASES,
+                             ids=["rejection", "double-rejection", "variable-rejection",
+                                  "variable-rejection-k5", "k1", "k2"])
+    def test_walk_equals_generator_draws(self, word, k, taken):
+        rng = _emitting(word)
+        rng.integers(1, 4)
+        after_count = _emitting(word)
+        after_count.bit_generator.random_raw(taken)
+        assert rng.bit_generator.state["state"] == after_count.bit_generator.state["state"]
+        words = _emitting(word).bit_generator.random_raw(3 * k + 12).tolist()
+        expected = [(i, cell_to_index(suffix[: i - 1] + (1,) + suffix[i - 1 :]), uniform)
+                    for i, suffix, uniform in _generator_rescales(_emitting(word), k)]
+        walked = None
+        for count in range(1, len(words) + 1):
+            try:
+                walked = _rescale_walk(words[:count], k)
+            except IndexError:  # the words run out: the battery draws the trial again
+                assert walked is None
+                continue
+            decoded = [(i, first, float(_uniforms(np.uint64(w), -2.0, 2.0)))
+                       for i, first, w in walked]
+            assert decoded == expected, count
+        assert walked is not None
+
+
+class TestDecodedDraws:
+    """Search rows and battery draws decoded from raw words replay through the public API."""
+
+    @pytest.mark.parametrize("spare", [29, 1], ids=["enough-words", "redrawn"])
+    @pytest.mark.parametrize("seed", [5, 2**96], ids=["vectorized-seeding", "default_rng"])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_battery_draws_replay(self, k, seed, spare):
+        # one word past the bump factor is too few for any trial's rescales, so
+        # every trial is drawn again; 29 words hold them (13 at most at k = 6)
+        trials = 20
+        (start, words), = _keyed_blocks(k, trials, seed, _CELL_BUDGET, 2**k + 2 + spare)
+        rows, constants, factors, rescaled_rows, rescales = _battery_draws(words, k, seed, start)
+        for j in range(trials):
+            rng = np.random.default_rng((seed, start + j))
+            table = random_table(k, rng)
+            assert rows[j].tobytes() == table.entries.tobytes()
+            assert constants[j] == np.exp(rng.uniform(-3.0, 3.0))
+            assert factors[j] == np.exp(rng.uniform(0.1, 1.0))
+            replayed = table
+            for op in rescales(j):
+                replayed = rescale_conditional_pair(replayed, op["variable"], op["suffix"],
+                                                    op["factor"])
+            assert replayed.entries.tobytes() == rescaled_rows[j].tobytes()
+            assert [(op["variable"], op["suffix"], op["factor"]) for op in rescales(j)] == [
+                (i, suffix, float(np.exp(uniform)))
+                for i, suffix, uniform in _generator_rescales(rng, k)]
+        summary = property_battery(EX, k, trials, seed)
+        witnesses = summary.witnesses["conditional_invariance"]
+        assert witnesses or k == 1
+        for witness in witnesses:
+            entries = witness["table"].entries.tobytes()
+            j, = [j for j in range(trials) if rows[j].tobytes() == entries]
+            assert witness["rescales"] == rescales(j)
+
+    @pytest.mark.parametrize("seed", [5, 2**96], ids=["vectorized-seeding", "default_rng"])
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_search_rows_and_witnesses_replay(self, k, seed, monkeypatch):
+        # every row the search measures, over blocks of 8, 16 and 32 trials, is its
+        # trial's random_table; at k = 2 no kind reverses, so there is no witness
+        measured = []
+
+        def recording(rows, k, kind):
+            measured.extend(rows)
+            return _first_reversal(rows, k, kind)
+
+        monkeypatch.setattr(collapsibility, "_first_reversal", recording)
+        assert paradox_search(DI, k, 50, seed) is None
+        assert [row.tobytes() for row in measured] == [
+            random_table(k, np.random.default_rng((seed, trial))).entries.tobytes()
+            for trial in range(50)]
+        for kind in (LOR, EX):
+            witness = paradox_search(kind, k, 200, seed)
+            assert (witness is None) == (k == 2)
+            if witness is not None:
+                assert any(random_table(k, np.random.default_rng((seed, trial))).entries.tobytes()
+                           == witness.entries.tobytes() for trial in range(200))
