@@ -4,8 +4,11 @@ For DI the map from table entries to the 2^k parameters is linear: the
 value at mask ``m`` is ``sum_t (-1)^{popcount(m & t)} p(t)``, i.e. the
 coefficient matrix is the Sylvester-ordered Hadamard matrix.  Its rows are
 pairwise orthogonal with squared norm ``2^k``, so the system inverts as
-``p = A v / 2^k``; both directions run in ``O(k 2^k)`` via the in-place
-butterfly (:func:`fwht`).
+``p = A v / 2^k``; both directions run in ``O(k 2^k)`` via the butterfly
+(:func:`fwht`).  It and the lattices below run in constant geometry (Pease
+1968): each pass moves one index digit from one end of the index to the
+other, so every pass is a few long strided reads and writes instead of inner
+loops as short as one element, and the k passes end in natural order.
 
 For LOR the values at nonempty masks are log contrasts of *marginal sums*.
 All of them come from one pass over the ``(3,)*k`` marginal lattice: each
@@ -90,26 +93,33 @@ class ParamSet:
 def fwht(values: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis (length a power of two).
 
-    Butterfly per axis bit: ``(a, b) -> (a + b, a - b)``; the result at index
-    ``m`` is ``sum_t (-1)^{popcount(m & t)} x[t]``.  The same transform
-    scaled by ``1 / n`` is its own inverse.
+    Butterfly per axis bit: ``(a, b) -> (a + b, a - b)``, one pass per bit,
+    each writing the whole axis as two unit-stride halves (:func:`_butterfly`);
+    the result at index ``m`` is ``sum_t (-1)^{popcount(m & t)} x[t]``.  The
+    same transform scaled by ``1 / n`` is its own inverse.  ``values`` is
+    never written.
     """
     a = np.asarray(values, dtype=np.float64)
-    n = a.shape[-1]
-    if n & (n - 1):
-        raise InvalidTableError(f"length {n} is not a power of two")
+    n = a.shape[-1] if a.ndim else 0
+    if n < 1 or n & (n - 1):
+        raise InvalidTableError(f"fwht needs a power-of-two last axis, got shape {a.shape}")
     return _butterfly(a) if n > 1 else a.copy()
 
 
 def _butterfly(a: np.ndarray) -> np.ndarray:
-    """:func:`fwht` of a float array whose last axis has a power-of-two length above 1."""
-    n, h = a.shape[-1], 1
-    while h < n:
-        a = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
-        top = a[..., 0, :] + a[..., 1, :]
-        bot = a[..., 0, :] - a[..., 1, :]
-        a = np.stack((top, bot), axis=-2).reshape(a.shape[:-3] + (n,))
-        h *= 2
+    """:func:`fwht` of a float array whose last axis has a power-of-two length above 1.
+
+    Pass j writes ``even + odd`` neighbours to the first half and ``even - odd``
+    to the second: the pairs, in order, of the butterfly's level ``h = 2^j``,
+    as strided reads and contiguous writes of n / 2.  ``a`` is only read.
+    """
+    n = a.shape[-1]
+    buffers = np.empty(a.shape), np.empty(a.shape)
+    for j in range(n.bit_length() - 1):
+        out = buffers[j % 2]
+        np.add(a[..., 0::2], a[..., 1::2], out=out[..., :n // 2])
+        np.subtract(a[..., 0::2], a[..., 1::2], out=out[..., n // 2:])
+        a = out
     return a
 
 
@@ -119,12 +129,14 @@ def _marginal_lattice(a: np.ndarray, add=np.add) -> np.ndarray:
     Each axis, variable 1 first, is extended to ``(x1, x2, x1 + x2)``, so the
     index with digit 2 on the variables outside a mask and 0 or 1 on those
     inside holds a cell of that mask's marginal.  ``add`` is ``np.logaddexp``
-    when ``a`` holds logs.
+    when ``a`` holds logs.  Each pass splits on the leading binary digit and
+    writes ``(x1, x2, x1 + x2)`` as the trailing trit of an ``(R, 3)`` array.
     """
-    k = a.size.bit_length() - 1
-    for i in range(k):
-        a = a.reshape(3**i, 2, -1)
-        a = np.concatenate((a, add(a[:, :1], a[:, 1:])), axis=1)
+    for _ in range(a.size.bit_length() - 1):
+        x1, x2 = a.reshape(2, -1)
+        a = np.empty((x1.size, 3))
+        a[:, 0], a[:, 1] = x1, x2
+        add(x1, x2, out=a[:, 2])
     return a.reshape(-1)
 
 
@@ -132,11 +144,14 @@ def _fold_contrasts(logs: np.ndarray, k: int) -> np.ndarray:
     """Fold each axis of a ``(3,)*k`` log lattice to ``(collapsed, x1 - x2)``.
 
     Index ``m`` of the result is the log contrast of the mask-m marginal;
-    index 0 is the log of the total.
+    index 0 is the log of the total.  Each pass splits on the leading trit
+    and writes the fold as the trailing digit of an ``(R, 2)`` array.
     """
-    for i in range(k):
-        logs = logs.reshape(2**i, 3, -1)
-        logs = np.concatenate((logs[:, 2:], logs[:, :1] - logs[:, 1:2]), axis=1)
+    for _ in range(k):
+        x1, x2, collapsed = logs.reshape(3, -1)
+        logs = np.empty((x1.size, 2))
+        logs[:, 0] = collapsed
+        np.subtract(x1, x2, out=logs[:, 1])
     return logs.reshape(-1)
 
 
@@ -166,7 +181,7 @@ def _lor_lattice(p: np.ndarray) -> np.ndarray:
 
 #: Largest k of the ``(3,)*k`` marginal lattice, that is of LOR's
 #: :func:`full_params` and of :func:`lor_inverse`: their ``tracemalloc`` peaks
-#: are 28 and 53 MiB at k = 13 and grow x3 per k.
+#: are 26 and 50 MiB at k = 13 and grow x3 per k.
 MAX_LATTICE_K = 16
 
 

@@ -102,6 +102,20 @@ class TestSignSystem:
     def test_fwht_rejects_non_power_of_two(self):
         with pytest.raises(InvalidTableError):
             fwht(np.zeros(3))
+        for values in (np.zeros(0), np.zeros((3, 0)), 3.0, np.float64(3.0)):
+            with pytest.raises(InvalidTableError):
+                fwht(values)
+
+    def test_fwht_leaves_its_input_and_reads_any_layout(self):
+        rng = np.random.default_rng(23)
+        table = random_table(6, rng)
+        v = rng.normal(size=128)
+        batch = np.asfortranarray(rng.normal(size=(5, 32)))
+        for x in (table.entries, v[::2], batch, v):
+            before = x.copy()
+            assert np.array_equal(fwht(x), fwht(np.ascontiguousarray(x)))
+            assert np.array_equal(x, before)
+        assert not table.entries.flags.writeable
 
 
 class TestDiParams:
@@ -417,3 +431,38 @@ class TestLorFitCorpus:
         values[0b011] = -20.0
         with pytest.raises(NonRealizableParamsError, match=r"mask 111 \(variables 1, 2, 3\)"):
             lor_inverse(ParamSet(3, "lor", values))
+
+
+#: SHA-256 of TestKernelBits's corpus: fwht outputs, then LOR full_params values
+KERNEL_BITS = "a7ad3e5c3de9abe01c89ada426a56a083d3a149c2809fe992f036328f69cc2b9"
+
+
+class TestKernelBits:
+    """The Walsh butterfly and the marginal lattice, pinned bit for bit beyond the fits' k."""
+
+    @staticmethod
+    def _floats(rng, shape, low, high):
+        # mantissas in [0.5, 1) times 2^e, e uniform in [low, high): no libm call
+        return np.ldexp(rng.uniform(0.5, 1.0, shape), rng.integers(low, high, shape))
+
+    def test_kernel_bits_are_pinned(self):
+        digest = hashlib.sha256()
+        for k in range(17):
+            rng = np.random.default_rng((23, 1, k))
+            signs = rng.choice((-1.0, 1.0), 2**k)
+            digest.update(fwht(signs * self._floats(rng, 2**k, -43, 44)).tobytes())
+        for k in range(1, 11):
+            rng = np.random.default_rng((23, 2, k))
+            for shape in ((7, 2**k), (3, 5, 2**k)):
+                signs = rng.choice((-1.0, 1.0), shape)
+                digest.update(fwht(signs * self._floats(rng, shape, -900, 901)).tobytes())
+        for k in range(13):
+            rng = np.random.default_rng((23, 3, k))
+            # moderate cells, cells spanning the float range with a total below
+            # 2^1022, and cells with one at 2^1023, whose lattice takes np.logaddexp
+            huge = self._floats(rng, 2**k, -1060, 1024)
+            huge[rng.integers(2**k)] = 2.0**1023
+            for entries in (self._floats(rng, 2**k, -12, 13),
+                            self._floats(rng, 2**k, -1060, 1000), huge):
+                digest.update(full_params(BinaryTable(k, entries), "lor").values.tobytes())
+        assert digest.hexdigest() == KERNEL_BITS
