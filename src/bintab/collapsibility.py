@@ -15,21 +15,20 @@ on more than the conditional structure) and are reported with replayable
 witnesses rather than raised.
 
 Both loops draw each trial from its own stream keyed by (seed, trial), the
-stream of ``np.random.default_rng((seed, trial))`` bit for bit, from
-``table._keyed_generators``.  A trial takes one ``random_raw`` of its
-stream's words, decoded as numpy's Generator would draw from them: a search
-trial's 2^k words are its entries; a battery trial's are laid out in
-``_battery_draws``.  The Monte Carlo of ``sampling`` stays on the Generator,
-whose binomial takes a varying count of words.  The loops measure the
-trials in blocks of stacked entry rows through the batched
-kernel ``assoc._measure_rows``; a block holds at most ``_CELL_BUDGET``
-cells per stack (one trial at least), so memory does not grow with the
-trial budget.  Signs and the battery's rise and invariance comparisons are
-decided by the kernel's one rule, ``assoc._decided``, so they are the ones
-the scalar ``_measure`` gives.  A search's outcome is the first trial that
-reverses or fails; a battery reads each check as a failure mask over a
-block and raises the first error a loop over single trials meets, so
-witnesses, failure counts and typed errors are those of one trial at a time.
+stream of ``np.random.default_rng((seed, trial))`` bit for bit: a block of
+trials takes one row of raw words a trial from ``table._keyed_words``,
+decoded as numpy's Generator would draw from them.  A search trial's 2^k
+words are its entries; a battery trial's are laid out in ``_battery_draws``.
+The loops measure the trials in blocks of stacked entry rows through the
+batched kernel ``assoc._measure_rows``; a block holds at most
+``_CELL_BUDGET`` cells per stack (one trial at least), so memory does not
+grow with the trial budget.  Signs and the battery's rise and invariance
+comparisons are decided by the kernel's one rule, ``assoc._decided``, so
+they are the ones the scalar ``_measure`` gives.  A search's outcome is the
+first trial that reverses or fails; a battery reads each check as a failure
+mask over a block and raises the first error a loop over single trials
+meets, so witnesses, failure counts and typed errors are those of one trial
+at a time.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ import numpy as np
 
 from .assoc import (
     AssociationKind,
+    BahadurKind,
     SIGN_TAU,
     _decided,
     _measure,
@@ -49,8 +49,8 @@ from .assoc import (
     resolve_kind,
     thresholded_sign,
 )
-from .errors import EvaluationError
-from .table import MAX_DIM, BinaryTable, _check_count, _keyed_generators, index_to_cell
+from .errors import EvaluationError, InvalidTableError
+from .table import MAX_DIM, BinaryTable, _check_count, _keyed_words, index_to_cell
 
 #: Entry cells in one stack of rows that a search or battery measures at once
 #: (64 KiB of float64).  A block holds ``_CELL_BUDGET >> k`` trials, at least
@@ -76,8 +76,7 @@ def _keyed_blocks(k: int, trials: int, seed: int, first: int, count: int):
     start, size = 0, first
     while start < trials:
         stop = min(trials, start + min(size, max(1, _CELL_BUDGET >> k)))
-        yield start, np.array([rng.bit_generator.random_raw(count)
-                               for rng in _keyed_generators(seed, range(start, stop))])
+        yield start, _keyed_words(seed, range(start, stop), count)
         start, size = stop, 2 * size
 
 
@@ -105,6 +104,13 @@ def _reverses(signs):
     return agree & (signs[-1] != first)
 
 
+def _check_layers(kind: AssociationKind, k: int) -> None:
+    """InvalidTableError naming k when ``kind`` is Bahadur and a layer has fewer than 2 variables."""
+    if isinstance(kind, BahadurKind) and k < 3:
+        raise InvalidTableError(f"bahadur requires k >= 2 in every layer, so this needs k >= 3, "
+                                f"got k={k}")
+
+
 @dataclass(frozen=True)
 class CollapseReport:
     """Signs of one parameter across both layers of a variable and the collapse."""
@@ -125,6 +131,7 @@ def collapse_check(table: BinaryTable, kind: AssociationKind | str, i: int) -> C
     """
     kind = resolve_kind(kind)
     i = _check_count("variable", i, 1, table.k)
+    _check_layers(kind, table.k)
     with np.errstate(over="ignore"):  # an infinite collapsed entry fails in _measure
         parts = _strata(table.array(), (i - 1,))
     measured = [_measure(part.reshape(-1), table.k - 1, kind) for part in parts]
@@ -159,6 +166,7 @@ def paradox_search(
     k = _check_count("k", k, 2, MAX_DIM)  # one variable to collapse, one left
     trials = _check_count("trials", trials)
     seed = _check_count("seed", seed)
+    _check_layers(kind, k)
     for _, words in _keyed_blocks(k, trials, seed, _FIRST_BLOCK, 2**k):
         rows = np.exp(_uniforms(words, -3.0, 3.0))
         hit = _first_reversal(rows, k, kind)
@@ -271,8 +279,8 @@ def _battery_draws(words: np.ndarray, k: int, seed: int, start: int) -> tuple:
                 walks.append(_rescale_walk(tail, k))
                 break
             except IndexError:  # rejections ran past the words drawn, about 2^-32 a draw
-                rng = next(_keyed_generators(seed, range(trial, trial + 1)))
-                tail = rng.bit_generator.random_raw(n + 2 + 2 * len(tail))[n + 2:].tolist()
+                redrawn = _keyed_words(seed, range(trial, trial + 1), n + 2 + 2 * len(tail))
+                tail = redrawn[0, n + 2:].tolist()
     # up to three rescales a trial, the missing ones by 1.0 (the word 2^63), which is exact
     ops = np.array([walk + [(1, 0, 1 << 63)] * (3 - len(walk)) for walk in walks], np.uint64)
     rescale_factors = np.exp(_uniforms(ops[..., 2], -2.0, 2.0))

@@ -23,10 +23,8 @@ and ``h`` alike, so a kind that only borrows a name takes the general path.
 Each chunk of count rows is signed as one stack: the zero rule is
 vectorized and the rest goes through the batched kernel of ``assoc``, whose
 signs are those of the scalar one.  A sample whose sign is undefined aborts
-the study with the error of the first such row.  The chunks' streams come
-from ``table._keyed_generators``: each is ``np.random.default_rng((seed,
-chunk index))`` bit for bit, seeded in one vectorized pass when there are
-enough chunks and by ``default_rng`` itself otherwise.
+the study with the error of the first such row.  Chunk c draws from
+``np.random.default_rng((seed, c))``.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from .table import (
     _check_real,
     _derived_table,
     _finite_totals,
-    _keyed_generators,
     parity_signs,
 )
 
@@ -225,8 +222,8 @@ def simulate_decisions(
     k = true_table.k
 
     tally = {1: 0, 0: 0, -1: 0}
-    starts = range(0, replications, CHUNK)
-    for done, rng in zip(starts, _keyed_generators(seed, range(len(starts)))):
+    for chunk, done in enumerate(range(0, replications, CHUNK)):
+        rng = np.random.default_rng((seed, chunk))
         rows = min(CHUNK, replications - done)
         signs = _sample_sign(_multinomial_rows(rng, probs, N, rows), k, kind)
         for s in tally:

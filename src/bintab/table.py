@@ -18,8 +18,8 @@ Conventions used throughout the package:
   outside this module, never by ``BinaryTable``.
 
 The module also holds the shared checks of every argument and the keyed
-random streams (:func:`_keyed_generators`) that the seeded loops of
-``collapsibility`` and ``sampling`` draw from.
+raw words (:func:`_keyed_words`) that the seeded search and battery of
+``collapsibility`` decode.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import EvaluationError, InvalidTableError
 
@@ -324,24 +325,13 @@ def _hashmixes(init: int, mult: int, indices) -> tuple[np.ndarray, np.ndarray]:
 #: numpy's ``SeedSequence`` with its 4-word pool, in uint32 columns over the
 #: lanes: hashmixes 0-3 fill the pool, and source lane s mixes into each other
 #: lane d with hashmix ``4 + 3 s + d - (d > s)`` (row s is discarded).  Eight
-#: state hashes make PCG64's four uint64 seed words, and ``_PCG64_MULT`` is
-#: PCG64's 128-bit multiplier.  Scalars are 0-d arrays, which numpy
-#: broadcasts faster than scalars.
+#: state hashes make PCG64's four uint64 seed words.  Scalars are 0-d arrays,
+#: which numpy broadcasts faster than scalars.
 _FILL = _hashmixes(0x43B0D7E5, 0x931E8875, range(4))
 _MIXES = [_hashmixes(0x43B0D7E5, 0x931E8875, [4 + 3 * s + d - (d > s) for d in range(4)])
           for s in range(4)]
 _STATE = _hashmixes(0x8B51F9DD, 0x58F38DED, range(8))
 _MIX_L, _MIX_R, _SHIFT = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-#: Fewer keys than this take ``default_rng`` one at a time: with 8 to 20 raw words
-#: drawn a key, a seeded block costs about 70 us plus 5 us a key, ``default_rng``
-#: about 17 us a key, so the pass pays from about 6 keys (2-core Xeon, numpy 2.4.6).
-_KEYED_MIN = 8
-
-#: Keys seeded in one pass, so memory does not grow with the key count.
-_KEYED_BLOCK = 1 << 12
 
 
 def _hashmix(values: np.ndarray, columns: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -351,13 +341,14 @@ def _hashmix(values: np.ndarray, columns: tuple[np.ndarray, np.ndarray]) -> np.n
     return values ^ values >> _SHIFT
 
 
-def _pcg64_seeds(seed_words: list[int], keys: range) -> list[tuple[int, int]]:
-    """``(initstate, initseq)`` of ``PCG64(SeedSequence((seed, key)))`` for each key.
+def _pcg64_seeds(seed: int, keys: range) -> np.ndarray:
+    """``SeedSequence((seed, key)).generate_state(4, np.uint64)`` for each key, one row a key.
 
-    ``seed_words`` (at most 3) and one word per key fill the 4-word pool.  The
-    pools of all keys are mixed at once, in uint32 lanes that wrap as
-    SeedSequence's C arithmetic does.
+    The seed's 32-bit words (at most 3) and one word per key fill the 4-word
+    pool.  The pools of all keys are mixed at once, in uint32 lanes that wrap
+    as SeedSequence's C arithmetic does.
     """
+    seed_words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
     pool = np.zeros((4, len(keys)), dtype=np.uint32)
     pool[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
     pool[len(seed_words)] = np.arange(keys.start, keys.stop, keys.step, dtype=np.uint32)
@@ -368,39 +359,26 @@ def _pcg64_seeds(seed_words: list[int], keys: range) -> list[tuple[int, int]]:
         mixed[src] = pool[src]
         pool = mixed
     words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE).astype(np.uint64)
-    limbs = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
-    return [(s0 << 64 | s1, i0 << 64 | i1) for s0, s1, i0, i1 in zip(*limbs)]
+    return np.ascontiguousarray((words[0::2] | words[1::2] << np.uint64(32)).T)
 
 
-def _keyed_generators(seed: int, keys: range):
-    """For each key of the ascending ``keys``, a Generator in the state of
-    ``np.random.default_rng((seed, key))``.
+@dataclass
+class _SeedWords(ISeedSequence):
+    """A row of :func:`_pcg64_seeds`, which PCG64 takes as its ``generate_state(4, uint64)``."""
 
-    Each yielded generator is valid only until the next one is yielded.  A
-    block of keys takes a fast path when the seed is below 2^96 and every
-    key below 2^32 (their 32-bit words fit SeedSequence's 4-word pool) and
-    it holds at least ``_KEYED_MIN`` keys: the first key's ``default_rng``
-    is yielded and then set to each further key's PCG64 state, seeded for
-    the whole block in one vectorized pass (:func:`_pcg64_seeds`).  Other
-    blocks take ``default_rng`` key by key.  The draws are bit for bit
-    those of ``default_rng((seed, key))`` either way.
+    words: np.ndarray
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _keyed_words(seed: int, keys: range, count: int) -> np.ndarray:
+    """Row j: the first ``count`` raw words of ``np.random.default_rng((seed, keys[j]))``.
+
+    Each key's PCG64 is seeded as ``default_rng`` seeds it.  A seed below 2^96 and
+    keys below 2^32 fit SeedSequence's 4-word pool, and then one vectorized pass
+    (:func:`_pcg64_seeds`) makes the seed words of every key.
     """
-    seed_words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
-    for first in range(0, len(keys), _KEYED_BLOCK):
-        block = keys[first:first + _KEYED_BLOCK]
-        fast = len(block) >= _KEYED_MIN and len(seed_words) <= 3 and not block[-1] >> 32
-        for key in block[:1] if fast else block:
-            generator = np.random.default_rng((seed, key))
-            yield generator
-        if fast:
-            for initstate, initseq in _pcg64_seeds(seed_words, block[1:]):
-                # PCG64's seeding: from state 0, one LCG step, add initstate, one more step
-                inc = (initseq << 1 | 1) & _MASK128
-                state = ((inc + initstate) * _PCG64_MULT + inc) & _MASK128
-                generator.bit_generator.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-                yield generator
+    fits = seed < 1 << 96 and keys.stop <= 1 << 32
+    entropy = map(_SeedWords, _pcg64_seeds(seed, keys)) if fits else [(seed, key) for key in keys]
+    return np.array([np.random.PCG64(each).random_raw(count) for each in entropy])

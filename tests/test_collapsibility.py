@@ -38,7 +38,6 @@ from bintab.collapsibility import (
     _rescale_walk,
     _uniforms,
 )
-from bintab.table import _PCG64_MULT
 from oracles import additivity_sign_check, scalar_battery, scalar_search
 
 # three binary variables; collapsing over the third reverses EX but not LOR
@@ -46,6 +45,9 @@ STACK = BinaryTable.from_entries([6, 5, 5, 7, 3, 1, 3, 7])
 
 # both layers of variable 3 have odds ratio 1.25, the collapse has 49/81
 LOR_WITNESS = BinaryTable.from_entries([2, 5, 8, 1, 1, 8, 5, 2])
+
+# PCG64's 128-bit LCG multiplier
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 class TestCollapseCheck:
@@ -408,6 +410,42 @@ class TestBlockedLoopsMatchScalarOracle:
         assert outcome(lambda: paradox_search(DI, 3, trials, 2)) == "None"
         assert outcome(lambda: paradox_search(LOR, 3, trials, 0)) == outcome(
             lambda: scalar_search(LOR, 3, trials, 0))
+
+
+class TestShortBlocks:
+    """Blocks of one to seven keys, and a seed of 2^63 - 1, match the scalar oracle."""
+
+    @pytest.mark.parametrize("trials", range(1, 8))
+    def test_search(self, trials):
+        for kind in (LOR, EX):
+            got = outcome(lambda: paradox_search(kind, 3, trials, 2**63 - 1))
+            assert got == outcome(lambda: scalar_search(kind, 3, trials, 2**63 - 1)), kind
+
+    def test_battery_k11(self):
+        s = property_battery(EX, 11, 3, 2**63 - 1, witness_cap=3)
+        assert repr((s.failures, s.witnesses)) == repr(scalar_battery(EX, 11, 3, 2**63 - 1, 3))
+
+
+class TestBahadurLayers:
+    """Bahadur needs k >= 2 in each layer; the error names the k the caller passed."""
+
+    MESSAGE = "bahadur requires k >= 2 in every layer, so this needs k >= 3, got k={}"
+
+    @pytest.mark.parametrize("trials", [0, 1, 60])
+    def test_search_raises_before_drawing(self, trials, monkeypatch):
+        monkeypatch.setattr(collapsibility, "_keyed_words", None)  # a draw would fail on it
+        with pytest.raises(InvalidTableError, match=f"^{re.escape(self.MESSAGE.format(2))}$"):
+            paradox_search(BAHADUR, 2, trials, 0)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_collapse_check_raises_before_slicing(self, k, monkeypatch):
+        monkeypatch.setattr(collapsibility, "_strata", None)
+        table = BinaryTable.constant(k, 1.0)
+        for check in (lambda: collapse_check(table, BAHADUR, 1),
+                      lambda: simpson_scan(table, [BAHADUR])):
+            with pytest.raises(InvalidTableError,
+                               match=f"^{re.escape(self.MESSAGE.format(k))}$"):
+                check()
 
 
 def _peak_bytes(call) -> int:

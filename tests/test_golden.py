@@ -15,6 +15,7 @@ import pytest
 
 from bintab import (
     BAHADUR,
+    DI,
     EX,
     LOR,
     BinaryTable,
@@ -27,8 +28,10 @@ from bintab import (
     save_paramset,
     save_table,
     simulate_decisions,
+    table_with_even_mass,
 )
 from bintab.cli import main
+from bintab.sampling import CHUNK
 
 
 def test_lor_search_witness_is_trial_8():
@@ -61,6 +64,23 @@ def test_simulated_frequencies(kind, seed, positive, negative):
     t = BinaryTable.from_entries([1.0, 1.1, 1.05, 1.0, 1.2, 0.9, 1.0, 1.1])
     freqs = simulate_decisions(t, 400, kind, 600, seed)
     assert freqs == {"positive": positive / 600, "zero": 0.0, "negative": negative / 600}
+
+
+@pytest.mark.parametrize(
+    "kind, k, replications, seed, positive, zero, negative",
+    [(DI, 2, 9 * CHUNK + 5, 7, 19994, 0, 16875),
+     (DI, 2, 9 * CHUNK + 5, 2**63 - 1, 19878, 0, 16991),
+     (EX, 3, 12 * CHUNK, 7, 12407, 66, 36679),
+     (EX, 3, 12 * CHUNK, 2**63 - 1, 12478, 58, 36616)],
+    ids=["di-7", "di-2^63-1", "ex-7", "ex-2^63-1"],
+)
+def test_chunked_frequencies(kind, k, replications, seed, positive, zero, negative):
+    # ten and twelve chunks, each drawn from default_rng((seed, chunk index))
+    t = (table_with_even_mass(2, 0.505) if k == 2 else
+         BinaryTable.from_entries([1.0, 1.1, 1.05, 1.0, 1.2, 0.9, 1.0, 1.1]))
+    freqs = simulate_decisions(t, 101 if k == 2 else 100, kind, replications, seed)
+    assert freqs == {"positive": positive / replications, "zero": zero / replications,
+                     "negative": negative / replications}
 
 
 @pytest.mark.parametrize(

@@ -41,7 +41,8 @@ from bintab import (
     swap_category,
     table_with_even_mass,
 )
-from bintab.table import _KEYED_BLOCK, _KEYED_MIN, MAX_DIM, _keyed_generators, validate_cell
+from bintab import table as table_module
+from bintab.table import MAX_DIM, _keyed_words, _pcg64_seeds, validate_cell
 from oracles import conditional_equal
 
 
@@ -409,57 +410,42 @@ class TestDerivedTablesLeaveTheFloatRange:
         assert BinaryTable.from_entries([1e308, 7e307]).total == 1.7e308
 
 
-def _keyed_draws(rng):
-    """One key's draws of every kind the search, the battery and the Monte Carlo make.
-
-    ``integers`` takes one 32-bit word per value, so the scalar draw leaves
-    a buffered half word and the pair takes it and leaves another: each key
-    ends with an odd count of 32-bit draws.  The binomial's ``n`` ends where
-    it starts, so its cached set-up for (1000, 0.3) is met again by the next key.
-    """
-    return (int(rng.integers(1, 4)),
-            rng.uniform(-3.0, 3.0, size=8).tolist(),
-            float(rng.uniform(0.1, 1.0)),
-            rng.integers(1, 3, size=2).tolist(),
-            rng.binomial(np.array([1000, 20, 1000]), 0.3).tolist())
-
-
 class TestKeyedGenerators:
-    """``_keyed_generators`` gives the streams of ``default_rng((seed, key))``, bit for bit.
+    """``_keyed_words`` gives the raw words of ``default_rng((seed, key))``, bit for bit.
 
     The comparison pins numpy's SeedSequence and PCG64 seeding, so a numpy
-    release that changes either fails here, not in a golden far away.
+    release that changes either fails here, not in a golden far away.  The
+    key ranges run from one key to the 4096 of a k = 1 block; 7 and 8 keys
+    sit just below and at a search's first block of 8 trials.
     """
 
     SEEDS = (0, 5, 2**32 - 1, 2**32, 2**63 - 1, 2**96)
-    KEYS = (range(3), range(_KEYED_MIN - 1), range(_KEYED_MIN), range(20),
+    KEYS = (range(1), range(3), range(7), range(8), range(20), range(4096),
             range(2**31 - 6, 2**31 + 6), range(2**32 - 12, 2**32), range(2**32 - 12, 2**32 + 1))
-    KEY_IDS = ("3", "below-crossover", "at-crossover", "20", "2^31", "to-2^32-1", "to-2^32")
+    KEY_IDS = ("1", "3", "below-crossover", "at-crossover", "20", "4096", "2^31", "to-2^32-1",
+               "to-2^32")
 
     @pytest.mark.parametrize("keys", KEYS, ids=KEY_IDS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_streams_equal_default_rng(self, seed, keys):
-        got, odd = [], 0
-        for rng in _keyed_generators(seed, keys):
-            got.append(_keyed_draws(rng))
-            odd += rng.bit_generator.state["has_uint32"]
-        assert odd == len(keys)  # every key leaves a half word the next one must not see
-        assert got == [_keyed_draws(np.random.default_rng((seed, key))) for key in keys]
+        got = _keyed_words(seed, keys, 3)
+        assert got.dtype == np.uint64 and got.shape == (len(keys), 3)
+        assert got.tolist() == [np.random.default_rng((seed, key)).bit_generator.random_raw(3)
+                                .tolist() for key in keys]
 
     @pytest.mark.parametrize("keys", KEYS, ids=KEY_IDS)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_fast_path_rule(self, seed, keys):
-        # the fast path yields one reused Generator; the fallback a new one per key
-        fast = len(keys) >= _KEYED_MIN and seed < 2**96 and keys[-1] < 2**32
-        generators = list(_keyed_generators(seed, keys))
-        assert len(generators) == len(keys)
-        assert len({id(g) for g in generators}) == (1 if fast else len(keys))
+    def test_fast_path_rule(self, seed, keys, monkeypatch):
+        # the vectorized pass takes every key when the entropy fits the 4-word pool
+        passes = []
 
-    def test_streams_across_seeding_passes(self):
-        keys = range(_KEYED_BLOCK + _KEYED_MIN + 1)
-        got = [rng.uniform(size=2).tolist() for rng in _keyed_generators(2**40 + 3, keys)]
-        assert got == [np.random.default_rng((2**40 + 3, key)).uniform(size=2).tolist()
-                       for key in keys]
+        def recording(seed, keys):
+            passes.append(keys)
+            return _pcg64_seeds(seed, keys)
+
+        monkeypatch.setattr(table_module, "_pcg64_seeds", recording)
+        _keyed_words(seed, keys, 1)
+        assert passes == ([keys] if seed < 2**96 and keys[-1] < 2**32 else [])
 
 
 @given(small_tables(), st.data())
