@@ -191,6 +191,12 @@ def bahadur(table: BinaryTable) -> float:
     return _measure(table.entries, table.k, BAHADUR)[0]
 
 
+def _check_dimension(kind: AssociationKind, k: int) -> None:
+    """InvalidTableError when ``kind`` is Bahadur and k < 2: the one check of a kind's k."""
+    if isinstance(kind, BahadurKind) and k < 2:
+        raise InvalidTableError(f"bahadur requires k >= 2, got k={k}")
+
+
 def _parity_fsums(vals: list[float], k: int) -> tuple[float, float]:
     """``math.fsum`` of the ``h`` values signed by parity, and of their magnitudes.
 
@@ -230,8 +236,7 @@ def _measure(entries: np.ndarray, k: int, kind: AssociationKind) -> tuple[float,
             totals = [float(entries[even].sum()), float(entries[~even].sum())]
         a, b = _applied(kind.d, totals, "d", "a parity-class total")
         return a - b, abs(a) + abs(b)
-    if k < 2:
-        raise InvalidTableError(f"bahadur requires k >= 2, got k={k}")
+    _check_dimension(kind, k)
     z, mus = _bahadur_z(entries, k)
     for axis, mu in enumerate(mus.tolist()):
         if not 0.0 < mu < 1.0:

@@ -67,14 +67,14 @@ def _seed(args: argparse.Namespace) -> int:
 
 
 def cmd_params(args: argparse.Namespace) -> int:
+    if args.out and not args.full:
+        raise InvalidTableError("--out writes the parameter file of --full, which was not given")
     table = io.load_table(args.table)
     kind = resolve_kind(args.kind)
-    if args.full:
-        result = full_params(table, kind)
-        if args.out:
-            io.save_paramset(result, args.out)
-    else:
-        result = {"kind": kind.name, "value": evaluate(table, kind)}
+    result = (full_params(table, kind) if args.full
+              else {"kind": kind.name, "value": evaluate(table, kind)})
+    if args.out:
+        io.save_paramset(result, args.out)
     _report("params", {}, result)
     return EXIT_OK
 
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="lor")
     p.add_argument("--full", action="store_true",
                    help="emit the complete 2^k parameter set (lor/di only)")
-    p.add_argument("--out", default=None, help="also write a parameter file")
+    p.add_argument("--out", default=None, help="with --full, also write the parameter file")
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("reconstruct", help="invert a parameter file back to a table")

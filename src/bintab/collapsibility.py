@@ -16,7 +16,7 @@ witnesses rather than raised.
 
 Both loops draw each trial from its own stream keyed by (seed, trial), the
 stream of ``np.random.default_rng((seed, trial))`` bit for bit: a block of
-trials takes one row of raw words a trial from ``table._keyed_words``,
+trials takes one row of raw words a trial from ``_keyed_blocks``,
 decoded as numpy's Generator would draw from them.  A search trial's 2^k
 words are its entries; a battery trial's are laid out in ``_battery_draws``.
 The loops measure the trials in blocks of stacked entry rows through the
@@ -37,11 +37,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .assoc import (
     AssociationKind,
     BahadurKind,
     SIGN_TAU,
+    _check_dimension,
     _decided,
     _measure,
     _measure_rows,
@@ -50,7 +52,7 @@ from .assoc import (
     thresholded_sign,
 )
 from .errors import EvaluationError, InvalidTableError
-from .table import MAX_DIM, BinaryTable, _check_count, _keyed_words, index_to_cell
+from .table import MAX_DIM, BinaryTable, _check_count, index_to_cell
 
 #: Entry cells in one stack of rows that a search or battery measures at once
 #: (64 KiB of float64).  A block holds ``_CELL_BUDGET >> k`` trials, at least
@@ -69,15 +71,76 @@ def random_table(k: int, rng: np.random.Generator) -> BinaryTable:
     return BinaryTable(k, np.exp(rng.uniform(-3.0, 3.0, size=2**k)))
 
 
-def _keyed_blocks(k: int, trials: int, seed: int, first: int, count: int):
-    """``(start, words)`` for trials 0..``trials``-1 in blocks: ``words[j]`` holds the first
-    ``count`` raw PCG64 words of trial ``start + j``'s stream, keyed by (seed, trial);
-    ``first`` trials, then twice as many each time, within the cell budget."""
-    start, size = 0, first
-    while start < trials:
-        stop = min(trials, start + min(size, max(1, _CELL_BUDGET >> k)))
-        yield start, _keyed_words(seed, range(start, stop), count)
-        start, size = stop, 2 * size
+def _hashmixes(init: int, mult: int, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Xor and multiplier columns of SeedSequence's hashmixes number ``indices``: the
+    i-th xors ``init * mult^i`` and multiplies by ``init * mult^(i + 1)``, mod 2^32."""
+    return tuple(np.array([init * pow(mult, i + step, 1 << 32) % (1 << 32) for i in indices],
+                          dtype=np.uint32)[:, None] for step in (0, 1))
+
+
+#: numpy's ``SeedSequence`` with its 4-word pool, in uint32 columns over the
+#: lanes: hashmixes 0-3 fill the pool, and source lane s mixes into each other
+#: lane d with hashmix ``4 + 3 s + d - (d > s)`` (row s is discarded).  Eight
+#: state hashes make PCG64's four uint64 seed words.  Scalars are 0-d arrays,
+#: which numpy broadcasts faster than scalars.
+_FILL = _hashmixes(0x43B0D7E5, 0x931E8875, range(4))
+_MIXES = [_hashmixes(0x43B0D7E5, 0x931E8875, [4 + 3 * s + d - (d > s) for d in range(4)])
+          for s in range(4)]
+_STATE = _hashmixes(0x8B51F9DD, 0x58F38DED, range(8))
+_MIX_L, _MIX_R, _SHIFT = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+
+
+def _hashmix(values: np.ndarray, columns: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """SeedSequence's hashmix of each row of ``values`` with that row's constants."""
+    xor, mult = columns
+    values = (values ^ xor) * mult
+    return values ^ values >> _SHIFT
+
+
+def _pcg64_seeds(seed: int, keys: range) -> np.ndarray:
+    """``SeedSequence((seed, key)).generate_state(4, np.uint64)`` for each key, one row a key.
+
+    The seed's 32-bit words (at most 3) and one word per key fill the 4-word
+    pool.  The pools of all keys are mixed at once, in uint32 lanes that wrap
+    as SeedSequence's C arithmetic does.
+    """
+    seed_words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    pool = np.zeros((4, len(keys)), dtype=np.uint32)
+    pool[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    pool[len(seed_words)] = np.arange(keys.start, keys.stop, keys.step, dtype=np.uint32)
+    pool = _hashmix(pool, _FILL)
+    for src, columns in enumerate(_MIXES):  # each lane mixes into the other three
+        mixed = pool * _MIX_L - _hashmix(pool[src], columns) * _MIX_R
+        mixed ^= mixed >> _SHIFT
+        mixed[src] = pool[src]
+        pool = mixed
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE).astype(np.uint64)
+    return np.ascontiguousarray((words[0::2] | words[1::2] << np.uint64(32)).T)
+
+
+@dataclass
+class _SeedWords(ISeedSequence):
+    """A row of :func:`_pcg64_seeds`, which PCG64 takes as its ``generate_state(4, uint64)``."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _keyed_blocks(k: int, keys: range, seed: int, first: int, count: int):
+    """``(start, words)`` for the keys in blocks: ``words[j]`` holds the first ``count`` raw
+    words of ``np.random.default_rng((seed, start + j))``; ``first`` keys, then twice as many
+    each time, within the cell budget.  Each key's PCG64 is seeded as ``default_rng`` seeds
+    it: when the seed is below 2^96 and a block's keys below 2^32, they fit SeedSequence's
+    4-word pool, and one vectorized pass (:func:`_pcg64_seeds`) makes the block's seed words."""
+    start, size = keys.start, first
+    while start < keys.stop:
+        block = range(start, min(keys.stop, start + min(size, max(1, _CELL_BUDGET >> k))))
+        entropy = ([(seed, key) for key in block] if seed >= 1 << 96 or block.stop > 1 << 32
+                   else map(_SeedWords, _pcg64_seeds(seed, block)))
+        yield start, np.array([np.random.PCG64(each).random_raw(count) for each in entropy])
+        start, size = block.stop, 2 * size
 
 
 def _uniforms(words: np.ndarray, low: float, high: float) -> np.ndarray:
@@ -167,7 +230,7 @@ def paradox_search(
     trials = _check_count("trials", trials)
     seed = _check_count("seed", seed)
     _check_layers(kind, k)
-    for _, words in _keyed_blocks(k, trials, seed, _FIRST_BLOCK, 2**k):
+    for _, words in _keyed_blocks(k, range(trials), seed, _FIRST_BLOCK, 2**k):
         rows = np.exp(_uniforms(words, -3.0, 3.0))
         hit = _first_reversal(rows, k, kind)
         if hit is not None:
@@ -248,11 +311,12 @@ def property_battery(
     trials = _check_count("trials", trials)
     seed = _check_count("seed", seed)
     witness_cap = _check_count("witness_cap", witness_cap)
+    _check_dimension(kind, k)  # before any draw, at trials=0 too
     counts = {name: 0 for name in PropertyBatterySummary.PROPERTIES}
     witnesses: dict[str, list[dict]] = {name: [] for name in PropertyBatterySummary.PROPERTIES}
-    # 2^k entries, constant, bump factor, 1 + 3 (k - 1 + (k > 1)) halves, 3 factors; 2 spare
-    count = 2**k + 2 + (2 + 3 * (k - 1 + (k > 1))) // 2 + 3 + 2
-    for start, words in _keyed_blocks(k, trials, seed, _CELL_BUDGET, count):
+    # 2^k entries, constant, bump factor, 1 + 3 (k - 1 + (k > 1)) halves, 3 factors
+    count = 2**k + 2 + (2 + 3 * (k - 1 + (k > 1))) // 2 + 3
+    for start, words in _keyed_blocks(k, range(trials), seed, _CELL_BUDGET, count):
         draws = _battery_draws(words, k, seed, start)
         failures = _battery_failures(draws, k, kind)
         for name, (failing, operation) in zip(PropertyBatterySummary.PROPERTIES, failures):
@@ -279,7 +343,8 @@ def _battery_draws(words: np.ndarray, k: int, seed: int, start: int) -> tuple:
                 walks.append(_rescale_walk(tail, k))
                 break
             except IndexError:  # rejections ran past the words drawn, about 2^-32 a draw
-                redrawn = _keyed_words(seed, range(trial, trial + 1), n + 2 + 2 * len(tail))
+                (_, redrawn), = _keyed_blocks(k, range(trial, trial + 1), seed, 1,
+                                              n + 2 + 2 * len(tail))
                 tail = redrawn[0, n + 2:].tolist()
     # up to three rescales a trial, the missing ones by 1.0 (the word 2^63), which is exact
     ops = np.array([walk + [(1, 0, 1 << 63)] * (3 - len(walk)) for walk in walks], np.uint64)

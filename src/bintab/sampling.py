@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .assoc import DI, LOR, AssociationKind, _measure_rows, resolve_kind
+from .assoc import DI, LOR, AssociationKind, _check_dimension, _measure_rows, resolve_kind
 from .errors import EvaluationError
 from .table import (
     MAX_DIM,
@@ -217,6 +217,7 @@ def simulate_decisions(
     N = _check_count("N", N, 1, MAX_N)
     replications = _check_count("replications", replications, 1)
     seed = _check_count("seed", seed)
+    _check_dimension(kind, true_table.k)  # before the first chunk is drawn
     entries = _finite_totals(true_table.entries)
     probs = entries / entries.sum()
     k = true_table.k

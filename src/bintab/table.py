@@ -17,9 +17,7 @@ Conventions used throughout the package:
   with zeros (e.g. sampled counts) are handled by dedicated code paths
   outside this module, never by ``BinaryTable``.
 
-The module also holds the shared checks of every argument and the keyed
-raw words (:func:`_keyed_words`) that the seeded search and battery of
-``collapsibility`` decode.
+The module also holds the shared checks of every argument.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import EvaluationError, InvalidTableError
 
@@ -313,72 +310,3 @@ def _derived_table(k: int, what: str, entries) -> BinaryTable:
         return BinaryTable(k, values)
     except InvalidTableError as exc:  # the input was valid: inf or 0 from the arithmetic
         raise EvaluationError(f"{what} leaves the float range: {exc}") from exc
-
-
-def _hashmixes(init: int, mult: int, indices) -> tuple[np.ndarray, np.ndarray]:
-    """Xor and multiplier columns of SeedSequence's hashmixes number ``indices``: the
-    i-th xors ``init * mult^i`` and multiplies by ``init * mult^(i + 1)``, mod 2^32."""
-    return tuple(np.array([init * pow(mult, i + step, 1 << 32) % (1 << 32) for i in indices],
-                          dtype=np.uint32)[:, None] for step in (0, 1))
-
-
-#: numpy's ``SeedSequence`` with its 4-word pool, in uint32 columns over the
-#: lanes: hashmixes 0-3 fill the pool, and source lane s mixes into each other
-#: lane d with hashmix ``4 + 3 s + d - (d > s)`` (row s is discarded).  Eight
-#: state hashes make PCG64's four uint64 seed words.  Scalars are 0-d arrays,
-#: which numpy broadcasts faster than scalars.
-_FILL = _hashmixes(0x43B0D7E5, 0x931E8875, range(4))
-_MIXES = [_hashmixes(0x43B0D7E5, 0x931E8875, [4 + 3 * s + d - (d > s) for d in range(4)])
-          for s in range(4)]
-_STATE = _hashmixes(0x8B51F9DD, 0x58F38DED, range(8))
-_MIX_L, _MIX_R, _SHIFT = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
-
-
-def _hashmix(values: np.ndarray, columns: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """SeedSequence's hashmix of each row of ``values`` with that row's constants."""
-    xor, mult = columns
-    values = (values ^ xor) * mult
-    return values ^ values >> _SHIFT
-
-
-def _pcg64_seeds(seed: int, keys: range) -> np.ndarray:
-    """``SeedSequence((seed, key)).generate_state(4, np.uint64)`` for each key, one row a key.
-
-    The seed's 32-bit words (at most 3) and one word per key fill the 4-word
-    pool.  The pools of all keys are mixed at once, in uint32 lanes that wrap
-    as SeedSequence's C arithmetic does.
-    """
-    seed_words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
-    pool = np.zeros((4, len(keys)), dtype=np.uint32)
-    pool[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
-    pool[len(seed_words)] = np.arange(keys.start, keys.stop, keys.step, dtype=np.uint32)
-    pool = _hashmix(pool, _FILL)
-    for src, columns in enumerate(_MIXES):  # each lane mixes into the other three
-        mixed = pool * _MIX_L - _hashmix(pool[src], columns) * _MIX_R
-        mixed ^= mixed >> _SHIFT
-        mixed[src] = pool[src]
-        pool = mixed
-    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE).astype(np.uint64)
-    return np.ascontiguousarray((words[0::2] | words[1::2] << np.uint64(32)).T)
-
-
-@dataclass
-class _SeedWords(ISeedSequence):
-    """A row of :func:`_pcg64_seeds`, which PCG64 takes as its ``generate_state(4, uint64)``."""
-
-    words: np.ndarray
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return self.words
-
-
-def _keyed_words(seed: int, keys: range, count: int) -> np.ndarray:
-    """Row j: the first ``count`` raw words of ``np.random.default_rng((seed, keys[j]))``.
-
-    Each key's PCG64 is seeded as ``default_rng`` seeds it.  A seed below 2^96 and
-    keys below 2^32 fit SeedSequence's 4-word pool, and then one vectorized pass
-    (:func:`_pcg64_seeds`) makes the seed words of every key.
-    """
-    fits = seed < 1 << 96 and keys.stop <= 1 << 32
-    entropy = map(_SeedWords, _pcg64_seeds(seed, keys)) if fits else [(seed, key) for key in keys]
-    return np.array([np.random.PCG64(each).random_raw(count) for each in entropy])

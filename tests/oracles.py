@@ -7,9 +7,10 @@ butterfly, marginal-lattice or one-pass contrast kernels.
 and conditional-invariance properties the tests assert.  ``scalar_search``
 and ``scalar_battery`` run the seeded search and property battery one
 trial and one table at a time, the reference for the library's blocked
-loops, and ``scalar_exact_tail`` sums the exact binomial tail one term at a
-time, the reference for its one-pass window.  All of them call public
-library names only.
+loops; ``generator_rescales`` draws a battery trial's rescales as numpy's
+Generator draws them.  ``scalar_exact_tail`` sums the exact binomial tail
+one term at a time, the reference for its one-pass window.  All of them
+call public library names only.
 """
 
 import math
@@ -113,6 +114,16 @@ def scalar_search(kind, k: int, trials: int, seed: int):
     return None
 
 
+def generator_rescales(rng: np.random.Generator, k: int) -> list:
+    """``(variable, suffix, uniform)`` of each rescale, drawn as a battery trial draws them."""
+    rescales = []
+    for _ in range(int(rng.integers(1, 4))):
+        i = int(rng.integers(1, k + 1))
+        suffix = tuple(int(j) for j in rng.integers(1, 3, size=k - 1))
+        rescales.append((i, suffix, rng.uniform(-2.0, 2.0)))
+    return rescales
+
+
 def scalar_battery(kind, k: int, trials: int, seed: int, witness_cap: int = 10):
     """``(failures, witnesses)`` of ``property_battery``, one table at a time."""
     names = ("monotone", "swap_antisymmetry", "conditional_invariance")
@@ -141,10 +152,8 @@ def scalar_battery(kind, k: int, trials: int, seed: int, witness_cap: int = 10):
                 record("swap_antisymmetry", {"table": table, "variable": i})
                 break
         rescaled, ops = table, []
-        for _ in range(int(rng.integers(1, 4))):
-            i = int(rng.integers(1, k + 1))
-            suffix = tuple(int(j) for j in rng.integers(1, 3, size=k - 1))
-            c = float(np.exp(rng.uniform(-2.0, 2.0)))
+        for i, suffix, uniform in generator_rescales(rng, k):
+            c = float(np.exp(uniform))
             rescaled = rescale_conditional_pair(rescaled, i, suffix, c)
             ops.append({"variable": i, "suffix": suffix, "factor": c})
         try:

@@ -1,5 +1,6 @@
 """Simpson's paradox detection, DI additivity, the property battery and seed checks."""
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -38,7 +39,7 @@ from bintab.collapsibility import (
     _rescale_walk,
     _uniforms,
 )
-from oracles import additivity_sign_check, scalar_battery, scalar_search
+from oracles import additivity_sign_check, generator_rescales, scalar_battery, scalar_search
 
 # three binary variables; collapsing over the third reverses EX but not LOR
 STACK = BinaryTable.from_entries([6, 5, 5, 7, 3, 1, 3, 7])
@@ -426,6 +427,39 @@ class TestShortBlocks:
         assert repr((s.failures, s.witnesses)) == repr(scalar_battery(EX, 11, 3, 2**63 - 1, 3))
 
 
+class TestLoopDigest:
+    """The search's and the battery's outcomes over kinds, k and seeds, pinned by one digest.
+
+    Each battery contributes its failure counts and each witness's table bytes
+    and operation, each search its witness's bytes or None; a typed error
+    contributes its type and message.  The seeds cover both seeding paths of
+    ``_keyed_blocks``: below 2^96 the vectorized pass, at 2^96 ``PCG64((seed, key))``.
+    """
+
+    SEEDS = (0, 5, 2**32 - 1, 2**32, 2**63 - 1, 2**96)
+    DIGEST = "271e08d5da709c7e2f66eec137ad6e5892688d3907e93de68f9f6b2e233b04ba"
+
+    def test_search_and_battery_bits(self):
+        def battery(kind, k, seed):
+            s = property_battery(kind, k, 300, seed, witness_cap=6)
+            return s.failures, [(name, w["table"].entries.tobytes(),
+                                 {key: value for key, value in w.items() if key != "table"})
+                                for name, found in s.witnesses.items() for w in found]
+
+        def search(kind, k, seed):
+            witness = paradox_search(kind, k, 400, seed)
+            return None if witness is None else witness.entries.tobytes()
+
+        digest = hashlib.sha256()
+        for kind in (LOR, DI, EX, BAHADUR):
+            for k in range(1, 7):
+                for seed in self.SEEDS:
+                    digest.update(outcome(lambda: battery(kind, k, seed)).encode())
+                    if k >= 2:
+                        digest.update(outcome(lambda: search(kind, k, seed)).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestBahadurLayers:
     """Bahadur needs k >= 2 in each layer; the error names the k the caller passed."""
 
@@ -433,7 +467,7 @@ class TestBahadurLayers:
 
     @pytest.mark.parametrize("trials", [0, 1, 60])
     def test_search_raises_before_drawing(self, trials, monkeypatch):
-        monkeypatch.setattr(collapsibility, "_keyed_words", None)  # a draw would fail on it
+        monkeypatch.setattr(collapsibility, "_keyed_blocks", None)  # a draw would fail on it
         with pytest.raises(InvalidTableError, match=f"^{re.escape(self.MESSAGE.format(2))}$"):
             paradox_search(BAHADUR, 2, trials, 0)
 
@@ -446,6 +480,16 @@ class TestBahadurLayers:
             with pytest.raises(InvalidTableError,
                                match=f"^{re.escape(self.MESSAGE.format(k))}$"):
                 check()
+
+
+class TestBahadurDimension:
+    """A Bahadur battery at k = 1 raises the kernel's check of k before drawing, at any budget."""
+
+    @pytest.mark.parametrize("trials", [0, 1, 5000])
+    def test_battery_raises_before_drawing(self, trials, monkeypatch):
+        monkeypatch.setattr(collapsibility, "_keyed_blocks", None)  # a draw would fail on it
+        with pytest.raises(InvalidTableError, match=r"^bahadur requires k >= 2, got k=1$"):
+            property_battery(BAHADUR, 1, trials, 0)
 
 
 def _peak_bytes(call) -> int:
@@ -501,16 +545,6 @@ def _emitting(word: int) -> np.random.Generator:
     return generator
 
 
-def _generator_rescales(rng: np.random.Generator, k: int) -> list:
-    """``(variable, suffix, uniform)`` of each rescale, drawn as a battery trial draws them."""
-    rescales = []
-    for _ in range(int(rng.integers(1, 4))):
-        i = int(rng.integers(1, k + 1))
-        suffix = tuple(int(j) for j in rng.integers(1, 3, size=k - 1))
-        rescales.append((i, suffix, rng.uniform(-2.0, 2.0)))
-    return rescales
-
-
 class TestRescaleWalk:
     """The walk over raw words draws the rescales numpy's Generator draws, rejections included."""
 
@@ -536,7 +570,7 @@ class TestRescaleWalk:
         assert rng.bit_generator.state["state"] == after_count.bit_generator.state["state"]
         words = _emitting(word).bit_generator.random_raw(3 * k + 12).tolist()
         expected = [(i, cell_to_index(suffix[: i - 1] + (1,) + suffix[i - 1 :]), uniform)
-                    for i, suffix, uniform in _generator_rescales(_emitting(word), k)]
+                    for i, suffix, uniform in generator_rescales(_emitting(word), k)]
         walked = None
         for count in range(1, len(words) + 1):
             try:
@@ -560,7 +594,8 @@ class TestDecodedDraws:
         # one word past the bump factor is too few for any trial's rescales, so
         # every trial is drawn again; 29 words hold them (13 at most at k = 6)
         trials = 20
-        (start, words), = _keyed_blocks(k, trials, seed, _CELL_BUDGET, 2**k + 2 + spare)
+        (start, words), = _keyed_blocks(k, range(trials), seed, _CELL_BUDGET,
+                                        2**k + 2 + spare)
         rows, constants, factors, rescaled_rows, rescales = _battery_draws(words, k, seed, start)
         for j in range(trials):
             rng = np.random.default_rng((seed, start + j))
@@ -575,7 +610,7 @@ class TestDecodedDraws:
             assert replayed.entries.tobytes() == rescaled_rows[j].tobytes()
             assert [(op["variable"], op["suffix"], op["factor"]) for op in rescales(j)] == [
                 (i, suffix, float(np.exp(uniform)))
-                for i, suffix, uniform in _generator_rescales(rng, k)]
+                for i, suffix, uniform in generator_rescales(rng, k)]
         summary = property_battery(EX, k, trials, seed)
         witnesses = summary.witnesses["conditional_invariance"]
         assert witnesses or k == 1

@@ -206,6 +206,15 @@ class TestCliParams:
         assert json.loads(out)["result"]["00"] == 14.0
         assert paramset_to_dict(load_paramset(out_path))["10"] == -4.0
 
+    def test_out_without_full_exits_input(self, capsys, table_file, tmp_path):
+        # only --full makes a parameter set, so --out alone would write nothing
+        out_path = tmp_path / "params.json"
+        code, out = run_cli(capsys, "params", table_file, "--out", str(out_path))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "InvalidTableError" and "--full" in error["message"]
+        assert not out_path.exists()
+
     def test_ex_overflow_exits_numeric(self, capsys, tmp_path):
         path = tmp_path / "big.json"
         save_table(BinaryTable.from_entries([1000.0, 1.0, 1.0, 1.0]), path)

@@ -344,6 +344,13 @@ class TestSimulate:
         want = simulate_decisions(BinaryTable(2, big.entries / 4), 10, kind, 50, seed=1)
         assert simulate_decisions(big, 10, kind, 50, seed=1) == want
 
+    @pytest.mark.parametrize("replications", [1, sampling.CHUNK + 1])
+    def test_bahadur_k1_raises_before_drawing(self, replications, monkeypatch):
+        monkeypatch.setattr(sampling, "_multinomial_rows", None)  # a draw would fail on it
+        with pytest.raises(InvalidTableError, match=r"^bahadur requires k >= 2, got k=1$"):
+            simulate_decisions(BinaryTable.from_entries([1.0, 2.0]), 10, BAHADUR, replications,
+                               seed=1)
+
     def test_validation(self):
         t = table_with_even_mass(2, 0.6)
         with pytest.raises(InvalidTableError):
