@@ -42,6 +42,7 @@ therefore the ones ``_measure`` gives.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from collections.abc import Callable
@@ -51,7 +52,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import BintabError, EvaluationError, InvalidTableError
-from .table import BinaryTable, _finite_totals, _float_range_shift, parity_signs
+from .table import BinaryTable, _finite_totals, _float_range_shift, index_to_cell, parity_signs
 
 #: Relative threshold below which a parameter value reports sign 0.
 SIGN_TAU = 1e-9
@@ -146,9 +147,15 @@ def ex(table: BinaryTable) -> float:
 def odds_ratio(table: BinaryTable) -> float:
     """Product of even-parity entries over product of odd-parity entries.
 
-    Computed as ``exp(lor)`` to avoid overflow of the raw products.
+    Computed as ``exp(lor)`` to avoid overflow of the raw products.  Raises
+    :class:`EvaluationError` when the ratio itself leaves the float range.
     """
-    return math.exp(lor(table))
+    value = lor(table)
+    with contextlib.suppress(OverflowError):  # above about 709
+        ratio = math.exp(value)
+        if ratio > 0.0:  # 0.0 below about -745
+            return ratio
+    raise EvaluationError(f"the odds ratio exp({value!r}) leaves the float range")
 
 
 def aggregate_contrast(table: BinaryTable, d: Callable[[float], float]) -> float:
@@ -165,12 +172,11 @@ def _bahadur_z(entries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     zero or NaN ``sigma`` and so NaN products.  One row or a stack, the
     arithmetic of each row is the same, bit for bit.
     """
-    entries = _finite_totals(entries)
     lead = entries.shape[:-1]
-    arr = (entries / entries.sum(axis=-1, keepdims=True)).reshape(lead + (2,) * k)
-    z = np.ones_like(arr)
-    mus = []
-    with np.errstate(all="ignore"):
+    z, mus = np.ones(lead + (2,) * k), []
+    with np.errstate(all="ignore"):  # an infinite entry leaves NaN shares, with no warning
+        entries = _finite_totals(entries)
+        arr = (entries / entries.sum(axis=-1, keepdims=True)).reshape(z.shape)
         for axis in range(k):
             # the marginal as a sum over the other axes, then its first category:
             # the same reduction for one row and for a stack
@@ -240,8 +246,16 @@ def _measure(entries: np.ndarray, k: int, kind: AssociationKind) -> tuple[float,
     z, mus = _bahadur_z(entries, k)
     for axis, mu in enumerate(mus.tolist()):
         if not 0.0 < mu < 1.0:
+            top = int(np.argmax(entries))
+            if entries[top] == math.inf:  # which leaves every marginal NaN
+                raise EvaluationError(f"entry at cell {index_to_cell(top, k)} is inf, "
+                                      "past the float range")
             raise EvaluationError(f"degenerate marginal for variable {axis + 1}: mu={mu}")
-    return math.fsum(z.tolist()), float(np.abs(z).sum())
+    with np.errstate(over="ignore"):
+        scale = float(np.abs(z).sum())
+    if not scale < math.inf:  # NaN too: 0 * inf
+        raise EvaluationError("the Bahadur products overflow the float range")
+    return math.fsum(z.tolist()), scale
 
 
 #: The built-in contrast kinds and the ufunc applying their ``h`` to a stack of

@@ -157,10 +157,24 @@ def _frozen_vector(k: int, values, noun: str) -> tuple[int, np.ndarray]:
     arr = _numbers(values, noun)
     if arr.shape != (2**k,):
         raise InvalidTableError(f"expected {2**k} {noun} for k={k}, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    return k, _frozen(arr, noun)
+
+
+def _frozen(arr: np.ndarray, noun: str) -> np.ndarray:
+    """``arr`` itself, made read-only once every value is found finite."""
+    # min and max need no mask the size of a block of rows, and a NaN reaches both
+    if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
         raise InvalidTableError(f"{noun} must be finite")
     arr.flags.writeable = False
-    return k, arr
+    return arr
+
+
+def _positive(k: int, arr: np.ndarray) -> None:
+    """InvalidTableError naming the least entry of rows of ``2**k`` unless all are positive."""
+    if not arr.min() > 0:
+        bad = int(np.argmin(arr))
+        raise InvalidTableError(f"entry {float(arr.flat[bad])!r} at cell "
+                                f"{index_to_cell(bad % 2**k, k)} is not strictly positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,10 +191,7 @@ class BinaryTable:
 
     def __post_init__(self):
         k, arr = _frozen_vector(self.k, self.entries, "entries")
-        if not (arr > 0).all():
-            bad = int(np.argmin(arr))
-            raise InvalidTableError(f"entry {float(arr[bad])!r} at cell {index_to_cell(bad, k)} "
-                                    "is not strictly positive")
+        _positive(k, arr)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "entries", arr)
 
@@ -235,6 +246,17 @@ class BinaryTable:
 
     def __repr__(self) -> str:
         return f"BinaryTable(k={self.k}, entries={self.entries.tolist()})"
+
+
+def _table_rows(k: int, block: np.ndarray) -> list[BinaryTable]:
+    """One table per row of the ``(C, 2**k)`` float64 ``block``, checked once by the rules
+    of :class:`BinaryTable` and frozen in place: the tables' entries are views of its rows."""
+    _positive(k, _frozen(block, "entries"))
+    tables = [object.__new__(BinaryTable) for _ in range(len(block))]
+    for table, row in zip(tables, block):
+        object.__setattr__(table, "k", k)
+        object.__setattr__(table, "entries", row)
+    return tables
 
 
 def swap_category(table: BinaryTable, i: int) -> BinaryTable:

@@ -97,6 +97,13 @@ class TestContrastGoldens:
         with pytest.raises(EvaluationError):
             ex(t)
 
+    @pytest.mark.parametrize("entries", [[1e300, 1e-300, 1e-300, 1e300],
+                                         [1e-300, 1e300, 1e300, 1e-300]])
+    def test_odds_ratio_beyond_float_range_is_an_error(self, entries):
+        # LOR is +-2763: exp overflows above about 709 and rounds to 0 below about -745
+        with pytest.raises(EvaluationError, match=r"odds ratio exp\(-?2763\.\d+\) leaves"):
+            odds_ratio(BinaryTable.from_entries(entries))
+
 
 class TestSumsBeyondFloatRange:
     """Partial sums of ``h`` values past the float range give a value or an EvaluationError."""
@@ -150,6 +157,23 @@ class TestBahadur:
     def test_requires_k_at_least_two(self):
         with pytest.raises(InvalidTableError):
             bahadur(BinaryTable.from_entries([1.0, 2.0]))
+
+    def test_products_beyond_float_range_are_an_error(self):
+        # variable 1's category-1 share is about 1e-317, so its factor (1 - mu) / sigma is
+        # about 1e158, and the products reach +-inf
+        t = BinaryTable.from_entries([2.73452698615895e-301, 6.147509105479511e-301, 5e-324,
+                                      4.125746697565514e-301, 7.687689151128844e-301, 5e-324,
+                                      2.2250738585072014e-308, 7.025563118452229e+16])
+        with pytest.raises(EvaluationError, match="Bahadur products overflow the float range"):
+            bahadur(t)
+        error = _measure_rows(t.entries[None, :], 3, BAHADUR).errors[0]
+        assert type(error) is EvaluationError and "products overflow" in str(error)
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_collapsed_entry_is_named_without_a_warning(self):
+        t = BinaryTable.from_entries([1e308, 1e308, 1, 1, 1, 1, 1e308, 1e308])
+        with pytest.raises(EvaluationError, match=r"entry at cell \(1, 1\) is inf"):
+            collapse_check(t, BAHADUR, 3)
 
     def test_total_beyond_float_range(self):
         # the total overflows, so the table is scaled by a power of two first

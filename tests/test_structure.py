@@ -148,6 +148,12 @@ class TestDecompose:
                 [(2, 2, 1)],
                 "positive",
             ),
+            # partner 5's residue reaches exactly 0, so its heap item (1, 5) is stale
+            # and skipped before the next smallest residue, cell 6, is found
+            ([1, 1, 1, 1, 2, 2, 2, 2], [[4, 5], [6, 7]], [], "zero"),
+            # partner 6's residue falls from 3 to 2 and ties cell 5's: its stale item
+            # (-3, 6) is skipped, and the next partner is the lower index, 5
+            ([1, 1, 1, 1, 2, 3, 4, 2], [[4, 6], [5, 7]], [(2, 1, 2), (2, 2, 1)], "positive"),
         ],
     )
     def test_ties_go_to_lowest_index(self, entries, pairs, peaks, case):
@@ -201,6 +207,9 @@ class TestDecompose:
         d = decompose(t)
         n = 2**t.k
         assert len(d.pair_components) - 1 <= n - 1
+        for comp in d.pair_components + tuple(comp for _, comp in d.peak_components):
+            assert not comp.entries.flags.writeable
+            assert np.array_equal(BinaryTable(t.k, comp.entries).entries, comp.entries)
         for comp in d.pair_components:
             assert di(comp) == 0.0
         for cell, comp in d.peak_components:

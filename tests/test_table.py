@@ -43,7 +43,7 @@ from bintab import (
 )
 from bintab import collapsibility
 from bintab.collapsibility import _CELL_BUDGET, _keyed_blocks, _pcg64_seeds
-from bintab.table import MAX_DIM, validate_cell
+from bintab.table import MAX_DIM, _table_rows, validate_cell
 from oracles import conditional_equal
 
 
@@ -120,6 +120,16 @@ class TestValidation:
             BinaryTable.from_entries([1.0, np.inf, 2.0, 3.0])
         with pytest.raises(InvalidTableError):
             BinaryTable.from_entries([1.0, np.nan, 2.0, 3.0])
+
+    def test_block_of_rows_checked_by_the_same_rules(self):
+        block = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+        tables = _table_rows(2, block)
+        assert [t.entries.tolist() for t in tables] == block.tolist()
+        assert not block.flags.writeable and all(t.entries.base is block for t in tables)
+        with pytest.raises(InvalidTableError, match=r"entry 0\.0 at cell \(2, 1\) is not strictly"):
+            _table_rows(2, np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 0.0, 1.0]]))
+        with pytest.raises(InvalidTableError, match="entries must be finite"):
+            _table_rows(1, np.array([[1.0, np.inf]]))
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(InvalidTableError):
