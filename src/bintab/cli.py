@@ -105,8 +105,8 @@ def cmd_simpson(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    config = {"seed": _seed(args)}
-    witness = paradox_search(args.kind, args.k, args.trials, config["seed"])
+    config = {"seed": _seed(args)} if args.trials else {}  # no trial, no seed used
+    witness = paradox_search(args.kind, args.k, args.trials, config.get("seed", args.seed))
     if witness is None:
         _report("search", config, {"witness": None, "trials": args.trials})
         return EXIT_NOT_FOUND

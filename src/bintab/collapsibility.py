@@ -19,20 +19,22 @@ stream of ``np.random.default_rng((seed, trial))`` bit for bit: a block of
 trials takes one row of raw words a trial from ``_keyed_blocks``,
 decoded as numpy's Generator would draw from them.  A search trial's 2^k
 words are its entries; a battery trial's are laid out in ``_battery_draws``.
-The loops measure the trials in blocks of stacked entry rows through the
-batched kernel ``assoc._measure_rows``; a block holds at most
-``_CELL_BUDGET`` cells per stack (one trial at least), so memory does not
-grow with the trial budget.  Signs and the battery's rise and invariance
-comparisons are decided by the kernel's one rule, ``assoc._decided``, so
-they are the ones the scalar ``_measure`` gives.  A search's outcome is the
-first trial that reverses or fails; a battery reads each check as a failure
-mask over a block and raises the first error a loop over single trials
-meets, so witnesses, failure counts and typed errors are those of one trial
-at a time.
+The loops measure blocks of at most ``_CELL_BUDGET >> k`` trials (one at
+least) with the batched kernel ``assoc._measure_rows``, one call a run of a
+block's stacks of rows (a search's strata for each variable; a battery's
+base, constant, bumped, rescaled and swapped tables) of at most
+``_CELL_BUDGET`` cells or one larger stack, so memory does not grow with the
+trials.  Signs and the battery's rise and invariance comparisons are decided
+by the kernel's one rule, ``assoc._decided``, so they are the ones the
+scalar ``_measure`` gives.  A search's outcome is the first trial that
+reverses or fails; a battery reads each check as a failure mask over a block
+and raises the first error a loop over single trials meets, so witnesses,
+failure counts and typed errors are those of one trial at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -54,10 +56,10 @@ from .assoc import (
 from .errors import EvaluationError, InvalidTableError
 from .table import MAX_DIM, BinaryTable, _check_count, index_to_cell
 
-#: Entry cells in one stack of rows that a search or battery measures at once
-#: (64 KiB of float64).  A block holds ``_CELL_BUDGET >> k`` trials, at least
-#: one, so memory does not grow with ``trials``, nor with k until a single
-#: table outgrows the budget.
+#: Entry cells that a search or battery measures in one ``_measure_rows`` call
+#: (64 KiB of float64), unless one stack alone holds more.  A block holds
+#: ``_CELL_BUDGET >> k`` trials, at least one, so memory does not grow with
+#: ``trials``, nor with k until a single table outgrows the budget.
 _CELL_BUDGET = 1 << 13
 
 #: Trials in a search's first block; each further block doubles, up to the
@@ -245,11 +247,7 @@ def _first_reversal(rows: np.ndarray, k: int, kind: AssociationKind) -> Optional
     layer, upper layer, collapse) is raised, as ``simpson_scan`` raises it.
     """
     arr = rows.reshape((len(rows),) + (2,) * k)
-    hit, errors = np.zeros(len(rows), dtype=bool), {}
-    for variable in range(1, k + 1):
-        reversed_rows, first_errors = _reversals(arr, k, kind, (variable,))
-        hit |= reversed_rows
-        errors = {**first_errors, **errors}  # a row keeps its first variable's error
+    hit, errors = _reversals(arr, k, kind, *((variable,) for variable in range(1, k + 1)))
     hit[list(errors)] = True
     if not hit.any():
         return None
@@ -259,17 +257,32 @@ def _first_reversal(rows: np.ndarray, k: int, kind: AssociationKind) -> Optional
     return row
 
 
-def _reversals(arr: np.ndarray, k: int, kind: AssociationKind, axes: tuple[int, ...]):
-    """Which tables of a ``(B,) + (2,) * k`` stack reverse when collapsed over ``axes``.
-
-    ``axes`` are variables, the stack's axes past the first.  Returns the
-    reversal mask and each failing table's first error in part order.
-    """
-    count, rest = len(arr), k - len(axes)
-    measured = _measure_rows(np.concatenate(_strata(arr, axes)).reshape(-1, 2**rest), rest, kind)
-    # part-major rows, written last to first: a table keeps its first part's error
+def _reversals(arr: np.ndarray, k: int, kind: AssociationKind, *scans: tuple[int, ...]):
+    """Which tables of a ``(B,) + (2,) * k`` stack reverse when collapsed over any of ``scans``,
+    tuples of variables (the stack's axes past the first), all of one length.  Returns the
+    reversal mask and each failing table's first error in scan, then part order."""
+    count, rest = len(arr), k - len(scans[0])
+    measured = _measure_stacks((np.concatenate(_strata(arr, axes)).reshape(-1, 2**rest)
+                                for axes in scans), rest, kind)
+    # scan-, then part-major rows, written last to first: a table keeps its first error
     errors = {index % count: e for index, e in sorted(measured.errors.items(), reverse=True)}
-    return _reverses(measured.signs.reshape(-1, count)), errors
+    return _reverses(measured.signs.reshape(len(scans), -1, count).swapaxes(0, 1)).any(0), errors
+
+
+def _measure_stacks(stacks, k: int, kind: AssociationKind) -> _Rows:
+    """``_measure_rows`` of ``(B, 2^k)`` stacks taken one at a time, as one ``_Rows`` over their
+    rows: one call a run of consecutive stacks of at most ``_CELL_BUDGET`` cells, or one larger."""
+    runs, run = [], []
+    for stack in stacks:
+        if run and sum(part.size for part in run) + stack.size > _CELL_BUDGET:
+            runs.append(_measure_rows(np.concatenate(run), k, kind))
+            run = []
+        run.append(stack)
+    runs.append(_measure_rows(np.concatenate(run) if len(run) > 1 else run[0], k, kind))
+    starts = itertools.accumulate((len(measured.signs) for measured in runs), initial=0)
+    return runs[0] if len(runs) == 1 else _Rows(
+        *map(np.concatenate, zip(*(measured[:4] for measured in runs))),
+        {start + j: e for measured, start in zip(runs, starts) for j, e in measured.errors.items()})
 
 
 @dataclass(frozen=True)
@@ -395,7 +408,7 @@ def _battery_failures(draws: tuple, k: int, kind: AssociationKind) -> list:
     """Each property's failing trials of a block, with a function giving one's witness operation.
 
     The trials' tables and their constant, bumped, rescaled and swapped tables
-    are measured as stacks, and each check is one mask over the block.  An
+    are measured as stacks in runs, and each check is one mask over the block.  An
     error is the lowest erring trial's first in the one-trial order: base,
     constant, bumped (when the constant signs 0), the swaps up to the first
     that does not flip, then a rescaled-table error other than an
@@ -405,12 +418,13 @@ def _battery_failures(draws: tuple, k: int, kind: AssociationKind) -> list:
     count, n = rows.shape
     bumped_rows = rows.copy()
     bumped_rows[:, 0] *= factors
-    base = _measure_rows(rows, k, kind)
-    constant = _measure_rows(np.repeat(const_values[:, None], n, axis=1), k, kind)
-    bumped = _measure_rows(bumped_rows, k, kind)
-    rescaled = _measure_rows(rescaled_rows, k, kind)
-    swaps = [_measure_rows(np.flip(rows.reshape((count,) + (2,) * k), axis).reshape(count, n),
-                           k, kind) for axis in range(1, k + 1)]
+    flips = (np.flip(rows.reshape((count,) + (2,) * k), axis).reshape(count, n)
+             for axis in range(1, k + 1))
+    measured = _measure_stacks(itertools.chain((rows, np.repeat(const_values[:, None], n, axis=1),
+                                                bumped_rows, rescaled_rows), flips), k, kind)
+    base, constant, bumped, rescaled, *swaps = (  # one view a stack, its errors keyed within
+        _Rows(*columns, {j % count: e for j, e in measured.errors.items() if j // count == stack})
+        for stack, columns in enumerate(zip(*(c.reshape(-1, count) for c in measured[:4]))))
     rises = _decided(_rise, k, kind, (base, rows), (bumped, bumped_rows))
     invariant = _decided(_invariance, k, kind, (base, rows), (rescaled, rescaled_rows))
     flat = constant.signs == 0

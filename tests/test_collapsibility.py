@@ -545,6 +545,63 @@ def _emitting(word: int) -> np.random.Generator:
     return generator
 
 
+class TestMeasureCalls:
+    """A block's stacks are measured in runs of at most ``_CELL_BUDGET`` cells, one call a run."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        shapes = []
+        measure_rows = collapsibility._measure_rows
+
+        def recording(rows, k, kind):
+            shapes.append(rows.shape)
+            return measure_rows(rows, k, kind)
+
+        monkeypatch.setattr(collapsibility, "_measure_rows", recording)
+        return shapes
+
+    @pytest.mark.parametrize("kind", [LOR, DI, EX, BAHADUR], ids=lambda kind: kind.name)
+    def test_battery_block_is_one_call(self, calls, kind):
+        # base, constant, bumped, rescaled and 3 swapped stacks of 30 rows
+        for seed in (0, 1, 2):
+            calls.clear()
+            property_battery(kind, 3, 30, seed)
+            assert calls == [(7 * 30, 8)], seed
+
+    def test_search_block_is_one_call(self, calls):
+        assert paradox_search(DI, 3, 40, 0) is None
+        # blocks of 8, 16 and 16 trials: 3 variables x 3 parts of each trial
+        assert calls == [(9 * 8, 4), (9 * 16, 4), (9 * 16, 4)]
+
+    @pytest.mark.parametrize("run, stack_cells, count", [
+        (lambda: paradox_search(DI, 16, 2, 0), 3 * 2**15, 2 * 16),
+        (lambda: property_battery(LOR, 16, 2, 0), 2**16, 2 * (4 + 16)),
+    ], ids=["search", "battery"])
+    def test_a_stack_past_the_budget_is_a_call_alone(self, calls, run, stack_cells, count):
+        # at k=16 a block is one trial, and each of its stacks outgrows the budget
+        run()
+        assert len(calls) == count
+        assert all(rows * cells <= max(_CELL_BUDGET, stack_cells) for rows, cells in calls)
+
+    @pytest.mark.parametrize("name", ["lor", "ex", "fragile"])
+    def test_runs_of_two_stacks_match_the_scalar_oracle(self, calls, name):
+        # at k=8 a block of 8 trials has 3072-cell stacks, two to a run; the
+        # fragile kind errs on several variables of each trial, so the runs'
+        # errors meet in one dict, keyed by their rows in the block
+        kind = ORACLE_KINDS[name]
+        for seed in (0, 1, 2):
+            calls.clear()
+            got = outcome(lambda: paradox_search(kind, 8, 8, seed))
+            assert got == outcome(lambda: scalar_search(kind, 8, 8, seed)), (name, seed)
+            assert calls == [(2 * 3 * 8, 2**7)] * 4
+
+    def test_k12_search_matches_the_scalar_oracle(self):
+        # blocks of 2 trials and 1; each 6144- or 12288-cell stack is a run
+        for seed in (0, 1, 2):
+            got = outcome(lambda: paradox_search(LOR, 12, 3, seed))
+            assert got == outcome(lambda: scalar_search(LOR, 12, 3, seed)), seed
+
+
 class TestRescaleWalk:
     """The walk over raw words draws the rescales numpy's Generator draws, rejections included."""
 

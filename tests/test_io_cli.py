@@ -531,6 +531,15 @@ class TestCliConfig:
         assert replay_code == code == 0
         assert json.loads(replay)["result"] == env["result"]
 
+    @pytest.mark.parametrize("seed_args", [[], ["--seed", "5"]], ids=["omitted", "given"])
+    def test_search_without_trials_echoes_no_seed(self, capsys, monkeypatch, seed_args):
+        # no trial is drawn, so no seed has an effect and none is drawn from entropy
+        monkeypatch.setattr(np.random, "SeedSequence", None)
+        code, out = run_cli(capsys, "search", "--kind", "di", "--k", "3", "--trials", "0",
+                            *seed_args)
+        assert code == 4
+        assert json.loads(out)["config"] == {}
+
     def test_power_echoes_format_and_monte_carlo_seed(self, capsys):
         _, out = run_cli(capsys, "power", "--N", "100", "--p", "0.5", "--seed", "3")
         assert json.loads(out)["config"] == {"output_format": "json"}
@@ -543,8 +552,9 @@ class TestCliConfig:
 
     @pytest.mark.parametrize("argv", [
         ["search", "--kind", "lor", "--k", "3", "--trials", "5"],
+        ["search", "--kind", "lor", "--k", "3", "--trials", "0"],
         ["power", "--N", "100", "--p", "0.5", "--mc", "5"],
-    ], ids=["search", "power"])
+    ], ids=["search", "search-no-trials", "power"])
     def test_negative_seed_exits_input(self, capsys, argv):
         code, out = run_cli(capsys, *argv, "--seed", "-1")
         assert code == 2
