@@ -280,15 +280,25 @@ class _Rows(NamedTuple):
     results; ``bounds`` is 0 on rows that ``_measure`` measured itself,
     which are all rows of the aggregate and custom-``h`` kinds and of
     Bahadur at k < 2.  ``signs`` are exactly ``thresholded_sign`` of the
-    ``_measure`` results.  ``errors`` maps the index of each row on which
-    ``_measure`` raised to its error; such rows have value, scale and sign 0.
+    ``_measure`` results.  ``errors`` holds None, or the error ``_measure``
+    raised on the row, which then has value, scale and sign 0.  A traceback
+    holds frames, which hold their callers and so the column, and the cycle
+    collector cannot see a numpy array's references: an error is kept
+    without its traceback and chained errors, and leaves the column to be
+    raised (:func:`_pop_error`), or it and those frames are never freed.
     """
 
     values: np.ndarray
     scales: np.ndarray
     bounds: np.ndarray
     signs: np.ndarray
-    errors: dict[int, BintabError]
+    errors: np.ndarray
+
+
+def _pop_error(errors: np.ndarray, j: int) -> BintabError:
+    """``errors[j]``, replaced by None in the column, for the caller to raise."""
+    error, errors[j] = errors[j], None
+    return error
 
 
 def _measure_rows(rows: np.ndarray, k: int, kind: AssociationKind) -> _Rows:
@@ -310,7 +320,7 @@ def _measure_rows(rows: np.ndarray, k: int, kind: AssociationKind) -> _Rows:
                 values = terms.sum(axis=1)
             scales = np.abs(terms, out=terms).sum(axis=1)
             bounds = (rows.shape[1] + 16) * _TERM_BOUND * scales
-    measured = _Rows(values, scales, bounds, np.zeros(count, dtype=np.int8), {})
+    measured = _Rows(values, scales, bounds, np.zeros(count, np.int8), np.empty(count, object))
     measured.signs[:] = _decided(_signs, k, kind, (measured, rows))
     return measured
 
@@ -330,7 +340,7 @@ def _decided(test, k: int, kind: AssociationKind, *stacks) -> np.ndarray:
     rounding of the comparison too; a NaN margin and an infinite bound are
     never beyond) is measured by ``_measure`` in every stack, unless exact
     already (bound 0), and the test is taken again.  A row on which
-    ``_measure`` raises joins its stack's ``errors`` with value and scale 0.
+    ``_measure`` raises takes value and scale 0 and its error in ``errors``.
     """
     measured = [stack for stack, _ in stacks]
     error = 2.0 * sum(stack.bounds for stack in measured)
@@ -344,6 +354,7 @@ def _decided(test, k: int, kind: AssociationKind, *stacks) -> np.ndarray:
             try:
                 values[j], scales[j] = _measure(rows[j], k, kind)
             except BintabError as exc:
+                exc.__traceback__ = exc.__cause__ = exc.__context__ = None  # see _Rows
                 errors[j] = exc
                 values[j] = scales[j] = 0.0
             bounds[j] = 0.0

@@ -26,10 +26,11 @@ base, constant, bumped, rescaled and swapped tables) of at most
 ``_CELL_BUDGET`` cells or one larger stack, so memory does not grow with the
 trials.  Signs and the battery's rise and invariance comparisons are decided
 by the kernel's one rule, ``assoc._decided``, so they are the ones the
-scalar ``_measure`` gives.  A search's outcome is the first trial that
-reverses or fails; a battery reads each check as a failure mask over a block
-and raises the first error a loop over single trials meets, so witnesses,
-failure counts and typed errors are those of one trial at a time.
+scalar ``_measure`` gives; a row's error, or None, sits in a column aligned
+with its signs.  A search's outcome is the first trial that reverses or
+fails; a battery reads each check as a failure mask over a block and raises
+the first error a loop over single trials meets, so witnesses, failure
+counts and typed errors are those of one trial at a time.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .assoc import (
     _decided,
     _measure,
     _measure_rows,
+    _pop_error,
     _Rows,
     resolve_kind,
     thresholded_sign,
@@ -248,25 +250,25 @@ def _first_reversal(rows: np.ndarray, k: int, kind: AssociationKind) -> Optional
     """
     arr = rows.reshape((len(rows),) + (2,) * k)
     hit, errors = _reversals(arr, k, kind, *((variable,) for variable in range(1, k + 1)))
-    hit[list(errors)] = True
+    hit |= errors != None
     if not hit.any():
         return None
     row = int(np.argmax(hit))
-    if row in errors:
-        raise errors[row]
+    if errors[row] is not None:
+        raise _pop_error(errors, row)
     return row
 
 
 def _reversals(arr: np.ndarray, k: int, kind: AssociationKind, *scans: tuple[int, ...]):
     """Which tables of a ``(B,) + (2,) * k`` stack reverse when collapsed over any of ``scans``,
     tuples of variables (the stack's axes past the first), all of one length.  Returns the
-    reversal mask and each failing table's first error in scan, then part order."""
+    reversal mask and each table's first error in scan, then part order, or None."""
     count, rest = len(arr), k - len(scans[0])
     measured = _measure_stacks((np.concatenate(_strata(arr, axes)).reshape(-1, 2**rest)
                                 for axes in scans), rest, kind)
-    # scan-, then part-major rows, written last to first: a table keeps its first error
-    errors = {index % count: e for index, e in sorted(measured.errors.items(), reverse=True)}
-    return _reverses(measured.signs.reshape(len(scans), -1, count).swapaxes(0, 1)).any(0), errors
+    errors = measured.errors.reshape(-1, count)  # scan-, then part-major rows of each table
+    first = errors[(errors != None).argmax(axis=0), np.arange(count)]
+    return _reverses(measured.signs.reshape(len(scans), -1, count).swapaxes(0, 1)).any(0), first
 
 
 def _measure_stacks(stacks, k: int, kind: AssociationKind) -> _Rows:
@@ -275,14 +277,11 @@ def _measure_stacks(stacks, k: int, kind: AssociationKind) -> _Rows:
     runs, run = [], []
     for stack in stacks:
         if run and sum(part.size for part in run) + stack.size > _CELL_BUDGET:
-            runs.append(_measure_rows(np.concatenate(run), k, kind))
+            runs.append(_measure_rows(np.concatenate(run) if len(run) > 1 else run[0], k, kind))
             run = []
         run.append(stack)
     runs.append(_measure_rows(np.concatenate(run) if len(run) > 1 else run[0], k, kind))
-    starts = itertools.accumulate((len(measured.signs) for measured in runs), initial=0)
-    return runs[0] if len(runs) == 1 else _Rows(
-        *map(np.concatenate, zip(*(measured[:4] for measured in runs))),
-        {start + j: e for measured, start in zip(runs, starts) for j, e in measured.errors.items()})
+    return runs[0] if len(runs) == 1 else _Rows(*map(np.concatenate, zip(*runs)))
 
 
 @dataclass(frozen=True)
@@ -422,23 +421,20 @@ def _battery_failures(draws: tuple, k: int, kind: AssociationKind) -> list:
              for axis in range(1, k + 1))
     measured = _measure_stacks(itertools.chain((rows, np.repeat(const_values[:, None], n, axis=1),
                                                 bumped_rows, rescaled_rows), flips), k, kind)
-    base, constant, bumped, rescaled, *swaps = (  # one view a stack, its errors keyed within
-        _Rows(*columns, {j % count: e for j, e in measured.errors.items() if j // count == stack})
-        for stack, columns in enumerate(zip(*(c.reshape(-1, count) for c in measured[:4]))))
+    base, constant, bumped, rescaled, *swaps = (  # one view of each column a stack
+        _Rows(*columns) for columns in zip(*(c.reshape(-1, count) for c in measured)))
     rises = _decided(_rise, k, kind, (base, rows), (bumped, bumped_rows))
     invariant = _decided(_invariance, k, kind, (base, rows), (rescaled, rescaled_rows))
     flat = constant.signs == 0
     stops = np.array([swap.signs != -base.signs for swap in swaps])
     last = np.where(stops.any(axis=0), stops.argmax(axis=0), k)  # the first swap not to flip
-    evaluable, everyone = np.ones(count, dtype=bool), np.ones(count, dtype=bool)
-    evaluable[[j for j, e in rescaled.errors.items() if isinstance(e, EvaluationError)]] = False
-    stages = [(base, everyone), (constant, everyone), (bumped, flat),
-              *((swap, last >= axis) for axis, swap in enumerate(swaps)), (rescaled, evaluable)]
-    first: dict = {}
-    for measured, reached in reversed(stages):  # a trial keeps its first error
-        first.update((j, e) for j, e in measured.errors.items() if reached[j])
-    if first:
-        raise first[min(first)]
+    evaluable = np.array([not isinstance(e, EvaluationError) for e in rescaled.errors], bool)
+    stages = [base, constant, bumped, *swaps, rescaled]
+    reached = [True, True, flat, *(last >= axis for axis in range(k)), evaluable]
+    erred = np.array([(stage.errors != None) & mask for stage, mask in zip(stages, reached)])
+    if erred.any():  # the lowest erring trial, then its first stage
+        j = int(np.argmax(erred.any(axis=0)))
+        raise _pop_error(stages[int(np.argmax(erred[:, j]))].errors, j)
     return [(np.flatnonzero(~(flat & rises)),
              lambda j: {"constant": float(const_values[j]), "factor": float(factors[j])}),
             (np.flatnonzero(last < k), lambda j: {"variable": int(last[j]) + 1}),

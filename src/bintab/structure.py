@@ -160,13 +160,15 @@ def decompose(table: BinaryTable) -> Decomposition:
 
 
 def recompose(d: Decomposition) -> BinaryTable:
-    """Entrywise sum of all components of a decomposition."""
+    """Entrywise sum of all components of a decomposition.
+
+    Raises :class:`EvaluationError` when rounding takes a cell of the sum past
+    the float range, as it can for a table whose entries reach the largest floats.
+    """
     parts = list(d.pair_components) + [t for _, t in d.peak_components]
     if not parts:
         raise InvalidTableError("decomposition has no components")
-    total = np.zeros_like(parts[0].entries)
-    for part in parts:
-        if part.k != parts[0].k:
-            raise InvalidTableError("components disagree on k")
-        total = total + part.entries
-    return BinaryTable(parts[0].k, total)
+    if any(part.k != parts[0].k for part in parts):
+        raise InvalidTableError("components disagree on k")
+    return _derived_table(parts[0].k, "the recomposed table",
+                          lambda: sum((part.entries for part in parts), np.zeros(2**parts[0].k)))

@@ -1,5 +1,7 @@
 """Simpson's paradox detection, DI additivity, the property battery and seed checks."""
 
+import contextlib
+import gc
 import hashlib
 import math
 import re
@@ -51,6 +53,7 @@ LOR_WITNESS = BinaryTable.from_entries([2, 5, 8, 1, 1, 8, 5, 2])
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
+@pytest.mark.bits
 class TestCollapseCheck:
     def test_ex_reversal_on_stack(self):
         r = collapse_check(STACK, EX, 3)
@@ -309,6 +312,7 @@ def outcome(call):
         return f"{type(exc).__name__}: {exc}"
 
 
+@pytest.mark.bits
 class TestBlockedLoopsMatchScalarOracle:
     """The blocked search and battery return what one trial at a time returns."""
 
@@ -413,6 +417,7 @@ class TestBlockedLoopsMatchScalarOracle:
             lambda: scalar_search(LOR, 3, trials, 0))
 
 
+@pytest.mark.bits
 class TestShortBlocks:
     """Blocks of one to seven keys, and a seed of 2^63 - 1, match the scalar oracle."""
 
@@ -427,6 +432,7 @@ class TestShortBlocks:
         assert repr((s.failures, s.witnesses)) == repr(scalar_battery(EX, 11, 3, 2**63 - 1, 3))
 
 
+@pytest.mark.bits
 class TestLoopDigest:
     """The search's and the battery's outcomes over kinds, k and seeds, pinned by one digest.
 
@@ -501,6 +507,11 @@ def _peak_bytes(call) -> int:
         tracemalloc.stop()
 
 
+def _live_errors() -> int:
+    gc.collect()
+    return sum(isinstance(o, BintabError) for o in gc.get_objects())
+
+
 class TestMemoryBound:
     """Blocked loops hold one block of trials at a time, whatever ``trials`` is."""
 
@@ -526,6 +537,25 @@ class TestMemoryBound:
         assert _peak_bytes(run) < 2**23
 
 
+class TestErrorsAreFreed:
+    """An error the blocked loops keep or raise is freed once nothing holds it."""
+
+    @pytest.mark.parametrize("run", [
+        lambda: paradox_search(ORACLE_KINDS["unlucky"], 2, 60, 0),
+        lambda: property_battery(ORACLE_KINDS["unlucky"], 5, 40, 0),
+        lambda: property_battery(CROSS_BLOCK_KINDS["fragile-sqrt"], 10, 24, 2),
+        lambda: simulate_decisions(BinaryTable.from_entries([1, 1, 1, 30]), 50,
+                                   ContrastKind("floor", lambda x: math.log(x - 0.05)), 20, 1),
+    ], ids=["search-raises", "battery-raises", "battery-keeps-errors", "monte-carlo-raises"])
+    def test_after_the_call(self, run):
+        # an error's traceback holds frames, and frames hold the error columns, whose
+        # references the cycle collector cannot see: a kept error would never be freed
+        before = _live_errors()
+        with contextlib.suppress(BintabError):
+            run()
+        assert _live_errors() == before
+
+
 def _emitting(word: int) -> np.random.Generator:
     """A PCG64 Generator whose next raw word is ``word``.
 
@@ -545,6 +575,7 @@ def _emitting(word: int) -> np.random.Generator:
     return generator
 
 
+@pytest.mark.bits
 class TestMeasureCalls:
     """A block's stacks are measured in runs of at most ``_CELL_BUDGET`` cells, one call a run."""
 
@@ -602,6 +633,7 @@ class TestMeasureCalls:
             assert got == outcome(lambda: scalar_search(LOR, 12, 3, seed)), seed
 
 
+@pytest.mark.bits
 class TestRescaleWalk:
     """The walk over raw words draws the rescales numpy's Generator draws, rejections included."""
 
@@ -641,6 +673,7 @@ class TestRescaleWalk:
         assert walked is not None
 
 
+@pytest.mark.bits
 class TestDecodedDraws:
     """Search rows and battery draws decoded from raw words replay through the public API."""
 

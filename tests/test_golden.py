@@ -33,6 +33,8 @@ from bintab import (
 from bintab.cli import main
 from bintab.sampling import CHUNK
 
+pytestmark = pytest.mark.bits
+
 
 def test_lor_search_witness_is_trial_8():
     witness = paradox_search(LOR, 3, 100, seed=0)

@@ -50,6 +50,14 @@ class TestTableFiles:
         back = load_table(path)
         assert np.array_equal(back.entries, t.entries)
 
+    def test_file_objects_round_trip(self):
+        t = BinaryTable.from_entries([0.1, 0.2, 1 / 3, 119.50732725266027])
+        buffer = io.StringIO()
+        save_table(t, buffer)
+        assert json.loads(buffer.getvalue()) == {"k": 2, "entries": t.entries.tolist()}
+        buffer.seek(0)
+        assert np.array_equal(load_table(buffer).entries, t.entries)
+
     def test_save_needs_a_destination(self):
         t = BinaryTable.from_entries([1, 2, 3, 4])
         with pytest.raises(TypeError):
@@ -90,6 +98,9 @@ class TestTableFiles:
             table_from_dict({"entries": [1, 2, 3, 4], "labels": ["a"]})
         with pytest.raises(InvalidTableError, match="JSON object"):
             table_from_dict([1, 2, 3, 4])
+        for labels in ("ab", ["a", 2], {"a": "b"}):
+            with pytest.raises(InvalidTableError, match="^field 'labels' must be a list of str"):
+                table_from_dict({"entries": [1, 2, 3, 4], "labels": labels})
 
 
 class TestParamFiles:
@@ -114,6 +125,15 @@ class TestParamFiles:
         path.write_text(capsys.readouterr().out)
         want = full_params(BinaryTable.from_entries([2, 3, 4, 5]), "lor")
         assert np.array_equal(load_paramset(path).values, want.values)
+
+    def test_file_objects_round_trip(self):
+        ps = full_params(BinaryTable.from_entries([2, 3, 4, 5]), "lor")
+        buffer = io.StringIO()
+        save_paramset(ps, buffer)
+        buffer.seek(0)
+        back = load_paramset(buffer)
+        assert back.k == 2 and back.kind == "lor"
+        assert np.array_equal(back.values, ps.values)
 
     def test_missing_mask_reported(self):
         with pytest.raises(InvalidTableError, match="'01'"):
@@ -146,6 +166,11 @@ class TestParamFiles:
         assert main(["reconstruct", str(params_path)]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["entries"] == [
             pytest.approx(3.0, rel=1e-12)]
+
+    @pytest.mark.parametrize("payload", [[1.0, 2.0], "di", 3.0, None])
+    def test_payload_must_be_an_object(self, payload):
+        with pytest.raises(InvalidTableError, match="^parameter file must be a JSON object$"):
+            paramset_from_dict(payload)
 
     def test_bad_fields(self):
         with pytest.raises(InvalidTableError, match="kind"):

@@ -343,6 +343,7 @@ class TestLorParams:
 FITTED_BITS = "6d48828b41d86e20cb26aff5bf2e0e934777d14dc4b876907762b1e3dff52fcd"
 
 
+@pytest.mark.bits
 class TestLorFitCorpus:
     """Fixed log-uniform targets, entries ``exp(U(-spread, spread))``: all converge to 1e-8."""
 
@@ -437,6 +438,7 @@ class TestLorFitCorpus:
 KERNEL_BITS = "a7ad3e5c3de9abe01c89ada426a56a083d3a149c2809fe992f036328f69cc2b9"
 
 
+@pytest.mark.bits
 class TestKernelBits:
     """The Walsh butterfly and the marginal lattice, pinned bit for bit beyond the fits' k."""
 

@@ -141,6 +141,7 @@ def _keyed_tails(count=200):
         yield N, float(1 / (1 + np.exp(rng.uniform(-8, 8) / math.sqrt(N))))
 
 
+@pytest.mark.bits
 class TestExactTailMatchesScalarOracle:
     """The one-pass window returns the bits of the one-term-at-a-time sum."""
 
@@ -350,6 +351,19 @@ class TestSimulate:
         with pytest.raises(InvalidTableError, match=r"^bahadur requires k >= 2, got k=1$"):
             simulate_decisions(BinaryTable.from_entries([1.0, 2.0]), 10, BAHADUR, replications,
                                seed=1)
+
+    @pytest.mark.parametrize("kind", [DI, LOR, BAHADUR], ids=lambda kind: kind.name)
+    @pytest.mark.parametrize("replications", [1, sampling.CHUNK + 1])
+    def test_k_beyond_bound_raises_before_drawing(self, kind, replications, monkeypatch):
+        monkeypatch.setattr(sampling, "_multinomial_rows", None)  # a draw would fail on it
+        k = sampling.MAX_SIMULATE_K + 1
+        with pytest.raises(InvalidTableError, match=rf"^k must be an integer in \[0, {k - 1}\], "
+                                                    rf"got {k}$"):
+            simulate_decisions(BinaryTable.constant(k, 1.0), 10, kind, replications, seed=1)
+
+    def test_k_at_bound_answers(self):
+        t = BinaryTable.constant(sampling.MAX_SIMULATE_K, 1.0)
+        assert sum(simulate_decisions(t, 10, EX, 5, seed=1).values()) == pytest.approx(1.0)
 
     def test_validation(self):
         t = table_with_even_mass(2, 0.6)

@@ -268,6 +268,14 @@ class TestDecompose:
         assert len(records) == 7366
         assert hashlib.sha256("\n".join(records).encode()).hexdigest() == self.DIGEST
 
+    def test_recompose_past_the_float_range_is_typed(self):
+        # the entries reach the largest float, and the components' sum rounds past it
+        t = BinaryTable.from_entries([8.988465674311579e307, 1.7976931348623157e308,
+                                      1.7976931348623157e308, 8.988465674311579e307])
+        d = decompose(t)
+        with pytest.raises(EvaluationError, match="^the recomposed table leaves the float range"):
+            recompose(d)
+
     def test_recompose_rejects_empty_and_mismatched(self):
         from bintab import InvalidTableError
 

@@ -135,6 +135,19 @@ class TestValidation:
         with pytest.raises(InvalidTableError):
             BinaryTable.from_entries([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 1)])
+    def test_from_array_rejects_other_shapes(self, shape):
+        with pytest.raises(InvalidTableError, match=rf"^expected shape \(2,\)\*k, got "
+                                                    rf"{re.escape(str(shape))}$"):
+            BinaryTable.from_array(np.ones(shape))
+
+    def test_cell_of_wrong_length(self):
+        t = BinaryTable.from_entries([1, 2, 3, 4])
+        with pytest.raises(InvalidTableError, match=r"^cell \(1,\) has length 1, expected 2$"):
+            t[(1,)]
+        with pytest.raises(InvalidTableError, match="has length 3, expected 2"):
+            t[(1, 2, 1)]
+
     def test_rejects_excessive_dimension(self):
         with pytest.raises(InvalidTableError, match=r"k must be an integer in \[0, 20\], got 25"):
             BinaryTable(25, np.ones(4))  # k cap fires before the shape check
@@ -421,6 +434,7 @@ class TestDerivedTablesLeaveTheFloatRange:
         assert BinaryTable.from_entries([1e308, 7e307]).total == 1.7e308
 
 
+@pytest.mark.bits
 class TestKeyedGenerators:
     """``collapsibility._keyed_blocks`` gives the raw words of ``default_rng((seed, key))``,
     bit for bit.
