@@ -250,7 +250,7 @@ def _first_reversal(rows: np.ndarray, k: int, kind: AssociationKind) -> Optional
     """
     arr = rows.reshape((len(rows),) + (2,) * k)
     hit, errors = _reversals(arr, k, kind, *((variable,) for variable in range(1, k + 1)))
-    hit |= errors != None
+    hit[np.flatnonzero(errors)] = True
     if not hit.any():
         return None
     row = int(np.argmax(hit))
@@ -266,8 +266,8 @@ def _reversals(arr: np.ndarray, k: int, kind: AssociationKind, *scans: tuple[int
     count, rest = len(arr), k - len(scans[0])
     measured = _measure_stacks((np.concatenate(_strata(arr, axes)).reshape(-1, 2**rest)
                                 for axes in scans), rest, kind)
-    errors = measured.errors.reshape(-1, count)  # scan-, then part-major rows of each table
-    first = errors[(errors != None).argmax(axis=0), np.arange(count)]
+    errors = measured.errors.reshape(-1, count)  # scan-, then part-major; compared if any erred
+    first = errors[np.count_nonzero(errors) and (errors != None).argmax(axis=0), np.arange(count)]
     return _reverses(measured.signs.reshape(len(scans), -1, count).swapaxes(0, 1)).any(0), first
 
 
@@ -428,13 +428,16 @@ def _battery_failures(draws: tuple, k: int, kind: AssociationKind) -> list:
     flat = constant.signs == 0
     stops = np.array([swap.signs != -base.signs for swap in swaps])
     last = np.where(stops.any(axis=0), stops.argmax(axis=0), k)  # the first swap not to flip
-    evaluable = np.array([not isinstance(e, EvaluationError) for e in rescaled.errors], bool)
+    evaluable = np.ones(count, bool)
+    for j in np.flatnonzero(rescaled.errors).tolist():  # the column is read where a row erred
+        evaluable[j] = not isinstance(rescaled.errors[j], EvaluationError)
     stages = [base, constant, bumped, *swaps, rescaled]
     reached = [True, True, flat, *(last >= axis for axis in range(k)), evaluable]
-    erred = np.array([(stage.errors != None) & mask for stage, mask in zip(stages, reached)])
-    if erred.any():  # the lowest erring trial, then its first stage
-        j = int(np.argmax(erred.any(axis=0)))
-        raise _pop_error(stages[int(np.argmax(erred[:, j]))].errors, j)
+    erred = [(j, s) for s, (stage, mask) in enumerate(zip(stages, reached))
+             for j in np.flatnonzero(stage.errors).tolist() if mask is True or mask[j]]
+    if erred:  # the lowest erring trial, then its first stage
+        j, s = min(erred)
+        raise _pop_error(stages[s].errors, j)
     return [(np.flatnonzero(~(flat & rises)),
              lambda j: {"constant": float(const_values[j]), "factor": float(factors[j])}),
             (np.flatnonzero(last < k), lambda j: {"variable": int(last[j]) + 1}),

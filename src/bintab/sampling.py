@@ -1,16 +1,17 @@
 """Decision probabilities for the sign of DI under multinomial sampling.
 
-With N multinomial draws from a normalized table, the sampled DI is
-positive exactly when more than N/2 observations land in even-parity
-cells, so the decision probability is a binomial tail in the even-parity
-mass p alone.  ``prob_di_positive_exact`` sums that tail in log space
-over the one window around Np outside which Pinsker's inequality puts
-every term below the float range, O(sqrt(N)) terms formed in one numpy
-pass from a bounded cache of log-factorials (at most 4 MB);
-``prob_di_positive_normal`` is the CLT approximation
-``Phi(sqrt(N) (p - 1/2) / sqrt(p (1 - p)))``.  Ties (even count exactly
-N/2) count as not-positive.  Tables whose total overflows a float are
-scaled by a power of two first (``table._finite_totals``).
+With N multinomial draws from a normalized table, the sampled DI is positive
+exactly when more than N/2 observations land in even-parity cells, so the
+decision probability is a binomial tail in the even-parity mass p alone.
+``prob_di_positive_exact`` forms the tail's log-terms in one numpy pass over
+the window around Np outside which Pinsker's inequality puts every term below
+the float range, from a bounded cache of log-factorials (at most 4 MB).  It
+sums the terms within ``_KEPT_SPAN`` of the largest; when a bound B on the
+rest, added, leaves that sum the same float, monotone rounding makes it the sum
+of every term's, else every term is summed.  ``prob_di_positive_normal`` is the
+CLT approximation ``Phi(sqrt(N) (p - 1/2) / sqrt(p (1 - p)))``.  Ties (even
+count exactly N/2) count as not-positive.  Tables whose total overflows a
+float are scaled by a power of two first (``table._finite_totals``).
 
 ``simulate_decisions`` cross-checks by Monte Carlo for any association
 kind.  Sampled tables may contain empty cells, which valid tables cannot,
@@ -81,9 +82,9 @@ def table_with_even_mass(k: int, p_even: float) -> BinaryTable:
 _LF_BLOCK = 1 << 10
 _LF_BLOCKS = 448
 
-#: Log-terms below this are 0.0 after ``math.exp``, which returns 0.0 below
-#: about -745.13.
-_EXP_FLOOR = -746.0
+#: Log-terms below ``_EXP_FLOOR`` are 0.0 after ``math.exp`` (0.0 below about -745.13).  The
+#: exact tail bounds, not sums, its terms ``_KEPT_SPAN`` below the largest (2^-86 of it) if it can.
+_EXP_FLOOR, _KEPT_SPAN = -746.0, 60.0
 
 #: Largest N of the exact tail: its window of about 2 sqrt(373.5 N) terms is
 #: held at once (a 150 MB ``tracemalloc`` peak at N = 10^10).
@@ -124,16 +125,20 @@ def prob_di_positive_exact(N: int, p: float) -> float:
     ``log P(X = x) <= -2 (x - Np)^2 / N``, so every term farther than
     ``r = sqrt((1 - _EXP_FLOOR) N / 2) + 1`` from Np has a log below
     ``_EXP_FLOOR - 1`` (the 1 is a margin for the rounding of the computed
-    log) and is 0.0 after ``math.exp``: the sum runs over the one window
-    ``|x - Np| <= r`` of the tail, in O(sqrt(N)) time and memory, and
-    ``math.fsum`` is exactly rounded, so the result is the full sum's.
+    log) and is 0.0 after ``math.exp``: only the n terms of the window
+    ``|x - Np| <= r`` of the tail count, O(sqrt(N)) of them.
 
-    The window's log-terms are formed in one numpy pass from memoized
-    log-factorials, in the order of operations of ``lgamma(N+1) -
-    lgamma(x+1) - lgamma(N-x+1) + x log p + (N-x) log q``, and ``math.exp``
-    (not ``np.exp``, which can differ by an ulp) is applied to those above
-    the underflow limit, so every term is the float a scalar loop over x
-    would give (for N below 2^53, where x converts to a float exactly).
+    Their logs are formed in one numpy pass from memoized log-factorials, in the
+    order of operations of ``lgamma(N+1) - lgamma(x+1) - lgamma(N-x+1) + x log p
+    + (N-x) log q``, and ``math.exp`` (not ``np.exp``, which can differ by an
+    ulp) makes each term the float of a scalar loop over x (for N below 2^53,
+    where x converts to a float exactly).  Only the m with a log of at least
+    ``cut = max(_EXP_FLOOR, max(logs) - _KEPT_SPAN)`` are summed.  A faithful
+    ``math.exp`` puts the others at most two ulps above ``math.exp(cut)``, so
+    they add up to at most ``B = (n - m) (2 math.exp(cut) + 5e-324)`` (2 covers
+    normal ulps, 5e-324 subnormal ones).  Correct rounding (``math.fsum``) is
+    monotone, so the full sum rounds between fsum(kept) and fsum(kept + [B]), to
+    their float if they agree; else all n terms are summed.
     """
     p = _check_real("p", p, 0, 1)
     N = _check_count("N", N, 1)  # a bool or a float gets the message of every N check
@@ -143,9 +148,16 @@ def prob_di_positive_exact(N: int, p: float) -> float:
     if a >= b:
         return 0.0
     xs = np.arange(a, b, dtype=np.float64)
-    lf_x, lf_rest = _log_factorials(a, b), _log_factorials(N - b + 1, N - a + 1)[::-1]
-    logs = math.lgamma(N + 1) - lf_x - lf_rest + xs * math.log(p) + (N - xs) * math.log1p(-p)
-    return min(math.fsum(map(math.exp, logs[logs >= _EXP_FLOOR].tolist())), 1.0)
+    rest, logs = N - xs, math.lgamma(N + 1) - _log_factorials(a, b)  # then in place, no temporaries
+    logs -= _log_factorials(N - b + 1, N - a + 1)[::-1]
+    logs += np.multiply(xs, math.log(p), out=xs)
+    logs += np.multiply(rest, math.log1p(-p), out=rest)
+    for cut in (max(_EXP_FLOOR, float(logs.max()) - _KEPT_SPAN), _EXP_FLOOR):  # kept, then all
+        terms = list(map(math.exp, logs[logs >= cut].tolist()))
+        total = math.fsum(terms)
+        terms.append((len(logs) - len(terms)) * (2 * math.exp(cut) + 5e-324))  # B
+        if cut == _EXP_FLOOR or math.fsum(terms) == total:
+            return min(total, 1.0)
 
 
 def prob_di_positive_normal(N: int, p: float) -> float:

@@ -169,6 +169,72 @@ class TestExactTailMatchesScalarOracle:
         assert retained <= 4_000_000
 
 
+class _FsumCount:
+    """``math`` as ``sampling`` sees it, counting ``fsum`` calls.  An exact tail whose
+    kept terms decide the sum takes at most two; one that then sums every term, three."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def fsum(self, terms):
+        self.calls += 1
+        return math.fsum(terms)
+
+
+def _edge_tails(count=6):
+    """Keyed (N, p) at N = 1, 2, 3 and 10^k: p within 2/N of each edge of the summed window
+    (Np - r and Np + r at N//2 + 1, Np + r at N, r = sqrt(373.5 N) + 1) and within
+    4/sqrt(N) of 1/2; an edge outside (0, 1) is left out."""
+    for N in (1, 2, 3) + tuple(10**k for k in range(1, 8)):
+        r = math.sqrt(373.5 * N) + 1
+        centers = [((N // 2 + 1 - r) / N, 2 / N), ((N // 2 + 1 + r) / N, 2 / N),
+                   ((N - r) / N, 2 / N), (0.5, 4 / math.sqrt(N))]
+        for i in range(count):
+            rng = np.random.default_rng((29, N, i))
+            for center, width in centers:
+                p = center + width * rng.uniform(-1, 1)
+                if 0 < p < 1:
+                    yield N, p
+
+
+@pytest.mark.bits
+class TestKeptTerms:
+    """The exact tail sums only the terms within ``_KEPT_SPAN`` of the largest when a bound
+    on the others cannot move the rounded sum, and every term otherwise."""
+
+    def test_sum_of_every_term_keeps_the_bits(self, monkeypatch):
+        # a span of 1 leaves out terms that can move the sum on much of the oracle's grid
+        spy = _FsumCount()
+        monkeypatch.setattr(sampling, "math", spy)
+        monkeypatch.setattr(sampling, "_KEPT_SPAN", 1.0)
+        grid = list(_tail_grid()) + list(_window_edges()) + list(_keyed_tails())
+        summed_all = 0
+        for N, p in grid:
+            spy.calls = 0
+            got = prob_di_positive_exact(N, p)
+            summed_all += spy.calls == 3
+            assert got.hex() == scalar_exact_tail(N, p).hex(), (N, p)
+        assert 0 < summed_all < len(grid)
+
+    def test_kept_terms_give_the_full_sum(self, monkeypatch):
+        spy = _FsumCount()
+        monkeypatch.setattr(sampling, "math", spy)
+        grid = list(_edge_tails())
+        kept, decided = [], 0
+        for N, p in grid:
+            spy.calls = 0
+            kept.append(prob_di_positive_exact(N, p).hex())
+            decided += spy.calls <= 2
+        monkeypatch.setattr(sampling, "_KEPT_SPAN", math.inf)  # every term, unchecked
+        assert kept == [prob_di_positive_exact(N, p).hex() for N, p in grid]
+        # the check fails only for a kept sum within B (n 2^-86 of it) of a rounding
+        # boundary, for about n 2^-33 of tails: under 2^-15 here, where n < 2^17
+        assert decided == len(grid)
+
+
 class TestNormalApprox:
     def test_half_is_half(self):
         for N in (1, 10, 12345):
