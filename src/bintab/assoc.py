@@ -37,7 +37,8 @@ margin is not beyond twice the bounds (a value near the sign threshold, a
 non-finite sum, a degenerate Bahadur marginal, and every row of the
 aggregate and custom-``h`` kinds, whose bound is infinite) is measured by
 ``_measure`` and tested again.  Signs, and the battery's comparisons, are
-therefore the ones ``_measure`` gives.
+therefore the ones ``_measure`` gives.  A row on which ``_measure`` raises is
+only marked failed; a caller raises by measuring it again.
 """
 
 from __future__ import annotations
@@ -231,7 +232,9 @@ def _measure(entries: np.ndarray, k: int, kind: AssociationKind) -> tuple[float,
     The scale is the sum of the absolute summands entering the value, ``inf``
     when that sum passes the float range (:func:`_parity_fsums`).  Apart
     from the batched ``_measure_rows``, no other function branches on the
-    kind to compute a value; callers resolve it first.
+    kind to compute a value; callers resolve it first.  Past
+    :func:`_check_dimension` it raises no :class:`BintabError` but
+    :class:`EvaluationError`.
     """
     if isinstance(kind, ContrastKind):
         return _parity_fsums(_applied(kind.h, entries.tolist(), "h", "a table entry"), k)
@@ -280,32 +283,23 @@ class _Rows(NamedTuple):
     results; ``bounds`` is 0 on rows that ``_measure`` measured itself,
     which are all rows of the aggregate and custom-``h`` kinds and of
     Bahadur at k < 2.  ``signs`` are exactly ``thresholded_sign`` of the
-    ``_measure`` results.  ``errors`` holds None, or the error ``_measure``
-    raised on the row, which then has value, scale and sign 0.  A traceback
-    holds frames, which hold their callers and so the column, and the cycle
-    collector cannot see a numpy array's references: an error is kept
-    without its traceback and chained errors, and leaves the column to be
-    raised (:func:`_pop_error`), or it and those frames are never freed.
+    ``_measure`` results.  ``failed`` marks the rows on which ``_measure``
+    raised, which have value, scale and sign 0; a caller that raises
+    measures such a row again, and ``_measure`` raises the same error.
     """
 
     values: np.ndarray
     scales: np.ndarray
     bounds: np.ndarray
     signs: np.ndarray
-    errors: np.ndarray
-
-
-def _pop_error(errors: np.ndarray, j: int) -> BintabError:
-    """``errors[j]``, replaced by None in the column, for the caller to raise."""
-    error, errors[j] = errors[j], None
-    return error
+    failed: np.ndarray
 
 
 def _measure_rows(rows: np.ndarray, k: int, kind: AssociationKind) -> _Rows:
     """Measure ``kind`` on every row of a ``(B, 2**k)`` stack of entry rows.
 
     No error is raised for a row: callers that stop at the first error in
-    their own order of rows find it in ``errors``.
+    their own order of rows find its row in ``failed``.
     """
     count = rows.shape[0]
     ufunc = next((f for known, f in _UFUNCS if kind == known), None)
@@ -320,7 +314,7 @@ def _measure_rows(rows: np.ndarray, k: int, kind: AssociationKind) -> _Rows:
                 values = terms.sum(axis=1)
             scales = np.abs(terms, out=terms).sum(axis=1)
             bounds = (rows.shape[1] + 16) * _TERM_BOUND * scales
-    measured = _Rows(values, scales, bounds, np.zeros(count, np.int8), np.empty(count, object))
+    measured = _Rows(values, scales, bounds, np.zeros(count, np.int8), np.zeros(count, bool))
     measured.signs[:] = _decided(_signs, k, kind, (measured, rows))
     return measured
 
@@ -340,7 +334,7 @@ def _decided(test, k: int, kind: AssociationKind, *stacks) -> np.ndarray:
     rounding of the comparison too; a NaN margin and an infinite bound are
     never beyond) is measured by ``_measure`` in every stack, unless exact
     already (bound 0), and the test is taken again.  A row on which
-    ``_measure`` raises takes value and scale 0 and its error in ``errors``.
+    ``_measure`` raises takes value and scale 0 and is marked ``failed``.
     """
     measured = [stack for stack, _ in stacks]
     error = 2.0 * sum(stack.bounds for stack in measured)
@@ -349,13 +343,12 @@ def _decided(test, k: int, kind: AssociationKind, *stacks) -> np.ndarray:
         unsure = np.flatnonzero(~(np.abs(margins).min(axis=0) > error))
     if not unsure.size:
         return outcome
-    for (values, scales, bounds, _, errors), rows in stacks:
+    for (values, scales, bounds, _, failed), rows in stacks:
         for j in unsure[bounds[unsure] != 0.0].tolist():
             try:
                 values[j], scales[j] = _measure(rows[j], k, kind)
-            except BintabError as exc:
-                exc.__traceback__ = exc.__cause__ = exc.__context__ = None  # see _Rows
-                errors[j] = exc
+            except BintabError:
+                failed[j] = True
                 values[j] = scales[j] = 0.0
             bounds[j] = 0.0
     return test(*measured)[0]

@@ -26,11 +26,12 @@ base, constant, bumped, rescaled and swapped tables) of at most
 ``_CELL_BUDGET`` cells or one larger stack, so memory does not grow with the
 trials.  Signs and the battery's rise and invariance comparisons are decided
 by the kernel's one rule, ``assoc._decided``, so they are the ones the
-scalar ``_measure`` gives; a row's error, or None, sits in a column aligned
-with its signs.  A search's outcome is the first trial that reverses or
-fails; a battery reads each check as a failure mask over a block and raises
-the first error a loop over single trials meets, so witnesses, failure
-counts and typed errors are those of one trial at a time.
+scalar ``_measure`` gives; a row on which it raised is marked in a boolean
+column aligned with its signs.  A search's outcome is the first trial that
+reverses or fails; a battery reads each check as a failure mask over a block.
+The error raised is the first a loop over single trials meets, raised again
+by the scalar path on that one row, so witnesses, failure counts and typed
+errors are those of one trial at a time.
 """
 
 from __future__ import annotations
@@ -50,12 +51,11 @@ from .assoc import (
     _decided,
     _measure,
     _measure_rows,
-    _pop_error,
     _Rows,
     resolve_kind,
     thresholded_sign,
 )
-from .errors import EvaluationError, InvalidTableError
+from .errors import InvalidTableError
 from .table import MAX_DIM, BinaryTable, _check_count, index_to_cell
 
 #: Entry cells that a search or battery measures in one ``_measure_rows`` call
@@ -246,29 +246,28 @@ def _first_reversal(rows: np.ndarray, k: int, kind: AssociationKind) -> Optional
     """Index of the first row whose scan reverses or raises, or None.
 
     If that row raised, its first error in scan order (variable, then lower
-    layer, upper layer, collapse) is raised, as ``simpson_scan`` raises it.
+    layer, upper layer, collapse) is raised by ``simpson_scan`` of the row.
     """
     arr = rows.reshape((len(rows),) + (2,) * k)
-    hit, errors = _reversals(arr, k, kind, *((variable,) for variable in range(1, k + 1)))
-    hit[np.flatnonzero(errors)] = True
+    hit, failed = _reversals(arr, k, kind, *((variable,) for variable in range(1, k + 1)))
+    hit |= failed
     if not hit.any():
         return None
     row = int(np.argmax(hit))
-    if errors[row] is not None:
-        raise _pop_error(errors, row)
+    if failed[row]:
+        simpson_scan(BinaryTable(k, rows[row]), [kind])
     return row
 
 
 def _reversals(arr: np.ndarray, k: int, kind: AssociationKind, *scans: tuple[int, ...]):
     """Which tables of a ``(B,) + (2,) * k`` stack reverse when collapsed over any of ``scans``,
     tuples of variables (the stack's axes past the first), all of one length.  Returns the
-    reversal mask and each table's first error in scan, then part order, or None."""
+    reversal mask and the mask of the tables on which a part's ``_measure`` raised."""
     count, rest = len(arr), k - len(scans[0])
     measured = _measure_stacks((np.concatenate(_strata(arr, axes)).reshape(-1, 2**rest)
                                 for axes in scans), rest, kind)
-    errors = measured.errors.reshape(-1, count)  # scan-, then part-major; compared if any erred
-    first = errors[np.count_nonzero(errors) and (errors != None).argmax(axis=0), np.arange(count)]
-    return _reverses(measured.signs.reshape(len(scans), -1, count).swapaxes(0, 1)).any(0), first
+    reverses = _reverses(measured.signs.reshape(len(scans), -1, count).swapaxes(0, 1)).any(0)
+    return reverses, measured.failed.reshape(-1, count).any(0)
 
 
 def _measure_stacks(stacks, k: int, kind: AssociationKind) -> _Rows:
@@ -409,9 +408,10 @@ def _battery_failures(draws: tuple, k: int, kind: AssociationKind) -> list:
     The trials' tables and their constant, bumped, rescaled and swapped tables
     are measured as stacks in runs, and each check is one mask over the block.  An
     error is the lowest erring trial's first in the one-trial order: base,
-    constant, bumped (when the constant signs 0), the swaps up to the first
-    that does not flip, then a rescaled-table error other than an
-    ``EvaluationError`` (which fails the invariance check).
+    constant, bumped (when the constant signs 0), then the swaps up to the
+    first that does not flip, raised by ``_measure`` of that one table.  A
+    rescaled table's error is an ``EvaluationError`` (``_measure`` raises no
+    other past ``_check_dimension``), which fails the invariance check.
     """
     rows, const_values, factors, rescaled_rows, rescales = draws
     count, n = rows.shape
@@ -428,20 +428,19 @@ def _battery_failures(draws: tuple, k: int, kind: AssociationKind) -> list:
     flat = constant.signs == 0
     stops = np.array([swap.signs != -base.signs for swap in swaps])
     last = np.where(stops.any(axis=0), stops.argmax(axis=0), k)  # the first swap not to flip
-    evaluable = np.ones(count, bool)
-    for j in np.flatnonzero(rescaled.errors).tolist():  # the column is read where a row erred
-        evaluable[j] = not isinstance(rescaled.errors[j], EvaluationError)
-    stages = [base, constant, bumped, *swaps, rescaled]
-    reached = [True, True, flat, *(last >= axis for axis in range(k)), evaluable]
+    stages = [base, constant, bumped, *swaps]
+    reached = [True, True, flat, *(last >= axis for axis in range(k))]
     erred = [(j, s) for s, (stage, mask) in enumerate(zip(stages, reached))
-             for j in np.flatnonzero(stage.errors).tolist() if mask is True or mask[j]]
+             for j in np.flatnonzero(stage.failed & mask).tolist()]
     if erred:  # the lowest erring trial, then its first stage
         j, s = min(erred)
-        raise _pop_error(stages[s].errors, j)
+        row = (np.flip(rows[j].reshape((2,) * k), s - 3).reshape(n) if s >= 3
+               else (rows[j], np.full(n, const_values[j]), bumped_rows[j])[s])
+        _measure(row, k, kind)  # raises the error the stage's row met
     return [(np.flatnonzero(~(flat & rises)),
              lambda j: {"constant": float(const_values[j]), "factor": float(factors[j])}),
             (np.flatnonzero(last < k), lambda j: {"variable": int(last[j]) + 1}),
-            (np.flatnonzero(~(invariant & evaluable)), lambda j: {"rescales": rescales(j)})]
+            (np.flatnonzero(~invariant | rescaled.failed), lambda j: {"rescales": rescales(j)})]
 
 
 def _rise(base: _Rows, bumped: _Rows):

@@ -461,10 +461,11 @@ def _rescale(p: np.ndarray, log_product: float) -> np.ndarray:
     overflows or underflows to 0.
     """
     shift = (log_product - math.fsum(np.log(p))) / p.size
-    power = math.floor(shift / math.log(2.0))
-    scaled = np.ldexp(p * math.exp(shift - power * math.log(2.0)), power)
-    if not (np.all(np.isfinite(scaled)) and np.all(scaled > 0)):
-        raise EvaluationError(
-            f"LOR fit leaves the float range: the target log-product {log_product!r} "
-            "needs entries beyond it")
-    return scaled
+    if abs(shift) < 1500.0:  # past e^+-1455 every float leaves the range, and ldexp its power
+        power = math.floor(shift / math.log(2.0))
+        scaled = np.ldexp(p * math.exp(shift - power * math.log(2.0)), power)
+        if np.all(np.isfinite(scaled)) and np.all(scaled > 0):
+            return scaled
+    raise EvaluationError(
+        f"LOR fit leaves the float range: the target log-product {log_product!r} "
+        "needs entries beyond it")

@@ -35,8 +35,7 @@ import math
 
 import numpy as np
 
-from .assoc import (DI, LOR, AssociationKind, _check_dimension, _measure_rows, _pop_error,
-                    resolve_kind)
+from .assoc import DI, LOR, AssociationKind, _check_dimension, _measure, _measure_rows, resolve_kind
 from .errors import EvaluationError
 from .table import (
     MAX_DIM,
@@ -208,10 +207,10 @@ def _sample_sign(counts: np.ndarray, k: int, kind: AssociationKind) -> np.ndarra
         signs[zero_even] = -1
         free = ~(zero_even | zero_odd)
     rows = rows[free]
-    measured = _measure_rows(rows / rows.sum(axis=1, keepdims=True), k, kind)
-    erred = np.flatnonzero(measured.errors)
-    if erred.size:
-        raise _pop_error(measured.errors, erred[0])
+    shares = rows / rows.sum(axis=1, keepdims=True)
+    measured = _measure_rows(shares, k, kind)
+    if measured.failed.any():  # raises the error the first failed row met
+        _measure(shares[np.argmax(measured.failed)], k, kind)
     signs[free] = measured.signs
     return signs.reshape(counts.shape[:-1])
 

@@ -166,8 +166,7 @@ class TestBahadur:
                                       2.2250738585072014e-308, 7.025563118452229e+16])
         with pytest.raises(EvaluationError, match="Bahadur products overflow the float range"):
             bahadur(t)
-        error = _measure_rows(t.entries[None, :], 3, BAHADUR).errors[0]
-        assert type(error) is EvaluationError and "products overflow" in str(error)
+        assert _measure_rows(t.entries[None, :], 3, BAHADUR).failed.tolist() == [True]
 
     @pytest.mark.filterwarnings("error")
     def test_infinite_collapsed_entry_is_named_without_a_warning(self):
@@ -327,16 +326,15 @@ class TestMeasureRows:
         assert got.signs.tolist() == [sign(t, kind) for t in tables]
         assert np.all(np.abs(got.values - [evaluate(t, kind) for t in tables]) <= got.bounds)
         assert np.all(np.abs(got.scales - [magnitude_scale(t, kind) for t in tables]) <= got.bounds)
-        assert got.errors.tolist() == [None] * len(rows)
+        assert not got.failed.any()
 
     def test_errors_are_kept_per_row(self):
         rows = np.array([[1.0, 2.0, 3.0, 4.0], [800.0, 1.0, 1.0, 1.0], [1.0, 1.0, 900.0, 1.0]])
         got = _measure_rows(rows, 2, EX)
-        assert np.flatnonzero(got.errors.astype(bool)).tolist() == [1, 2]
-        with pytest.raises(EvaluationError) as want:
-            evaluate(BinaryTable(2, rows[1]), EX)
-        assert type(got.errors[1]) is EvaluationError
-        assert str(got.errors[1]) == str(want.value)
+        assert np.flatnonzero(got.failed).tolist() == [1, 2]
+        for j in (1, 2):
+            with pytest.raises(EvaluationError):
+                evaluate(BinaryTable(2, rows[j]), EX)
         assert got.signs[0] == sign(BinaryTable(2, rows[0]), EX)
 
     @pytest.mark.parametrize("kind", [
@@ -355,7 +353,7 @@ def _lor_stack(rows, values, bounds):
     """A hand-made ``(measured, rows)`` stack of LOR estimates with scale 1."""
     count = len(values)
     measured = _Rows(np.array(values), np.ones(count), np.array(bounds),
-                     np.zeros(count, np.int8), np.full(count, None))
+                     np.zeros(count, np.int8), np.zeros(count, bool))
     return measured, rows
 
 
@@ -377,11 +375,10 @@ class TestDecided:
         assert (measured.values[1], measured.scales[1], measured.bounds[1]) == (7.0, 1.0, 1e-12)
         # an exact row is not measured again, even on a zero margin
         assert (measured.values[2], measured.scales[2]) == (0.0, 1.0)
-        # an erring row holds its error, with value and scale 0
-        assert np.flatnonzero(measured.errors.astype(bool)).tolist() == [3]
-        with pytest.raises(EvaluationError) as want:
+        # an erring row is marked failed, with value and scale 0
+        assert np.flatnonzero(measured.failed).tolist() == [3]
+        with pytest.raises(EvaluationError):
             _measure(rows[3], 2, LOR)
-        assert str(measured.errors[3]) == str(want.value)
         assert (measured.values[3], measured.scales[3]) == (0.0, 0.0)
         assert measured.bounds.tolist() == [0.0, 1e-12, 0.0, 0.0, 0.0]
         assert got.tolist() == [False, True, False, False, True]
@@ -450,31 +447,27 @@ class TestBahadurRows:
         assert np.all(np.abs(got.values - [evaluate(t, BAHADUR) for t in tables]) <= got.bounds)
         assert np.all(np.abs(got.scales - [magnitude_scale(t, BAHADUR) for t in tables])
                       <= got.bounds)
-        assert got.errors.tolist() == [None] * len(rows)
+        assert not got.failed.any()
 
     def test_degenerate_rows_keep_their_errors(self):
         # a marginal rounds to 1.0; sampled counts leave a variable's category empty
         rows = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 1e-300, 1e-300, 1e-300],
                          [5.0, 5.0, 0.0, 0.0], [2.0, 1.0, 1.0, 3.0], [0.0, 3.0, 0.0, 1.0]])
         got = _measure_rows(rows, 2, BAHADUR)
-        erred = np.flatnonzero(got.errors.astype(bool)).tolist()
+        erred = np.flatnonzero(got.failed).tolist()
         assert erred == [1, 2, 4]
-        for j, error in zip(erred, got.errors[erred]):
-            with pytest.raises(EvaluationError) as want:
+        for j in erred:
+            with pytest.raises(EvaluationError):
                 _measure(rows[j], 2, BAHADUR)
-            assert type(error) is EvaluationError
-            assert str(error) == str(want.value)
             assert got.values[j] == got.scales[j] == got.signs[j] == 0
         for j in (0, 3):
             assert got.signs[j] == sign(BinaryTable(2, rows[j]), BAHADUR)
 
     def test_one_variable_rows_keep_their_errors(self):
         got = _measure_rows(np.array([[1.0, 2.0], [3.0, 1.0]]), 1, BAHADUR)
-        assert got.errors.astype(bool).tolist() == [True, True]
-        with pytest.raises(InvalidTableError) as want:
+        assert got.failed.tolist() == [True, True]
+        with pytest.raises(InvalidTableError):
             bahadur(BinaryTable.from_entries([1.0, 2.0]))
-        assert all(type(e) is InvalidTableError and str(e) == str(want.value)
-                   for e in got.errors)
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_stacked_products_equal_single_rows_bit_for_bit(self, k):

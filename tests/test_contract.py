@@ -7,8 +7,14 @@ fails a case just as an untyped exception does.  A case passes when it
 returns a well-formed result or raises a ``BintabError`` subclass.
 """
 
+import contextlib
+import csv
+import io
+import json
 import math
+import os
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -19,8 +25,11 @@ from bintab import (
     DI,
     EX,
     LOR,
+    AggregateContrastKind,
     BinaryTable,
     BintabError,
+    ContrastKind,
+    EvaluationError,
     canonicalize,
     collapse_check,
     decompose,
@@ -40,6 +49,8 @@ from bintab import (
     swap_category,
     table_with_even_mass,
 )
+from bintab import cli
+from bintab.assoc import _measure
 from bintab.sampling import MAX_EXACT_N, MAX_N
 
 KINDS = (LOR, DI, EX, BAHADUR)
@@ -142,6 +153,28 @@ def tables(max_k=5):
     finite = st.floats(min_value=5e-324, max_value=sys.float_info.max)
     return st.integers(1, max_k).flatmap(lambda k: st.lists(
         finite, min_size=2**k, max_size=2**k).map(lambda entries: BinaryTable(k, entries)))
+
+
+# kinds whose h or d raises ValueError below 1 or above 1e6, which _measure reports as
+# EvaluationError, besides the built-in ones
+RAISING_KINDS = (ContrastKind("log-minus-1", lambda x: math.log(x - 1.0)),
+                 ContrastKind("sqrt-below-1e6", lambda x: math.sqrt(1e6 - x)),
+                 AggregateContrastKind("log-minus-1", lambda t: math.log(t - 1.0)))
+
+
+@given(tables().filter(lambda table: table.k >= 2), st.sampled_from(KINDS + RAISING_KINDS))
+@CONTRACT
+def test_measure_raises_only_evaluation_error(table, kind):
+    # past _check_dimension, which refuses Bahadur at k < 2 alone, _measure returns or raises
+    # EvaluationError: the battery counts a rescaled table's error as an invariance failure
+    with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
+        warnings.simplefilter("error")
+        try:
+            value, scale = _measure(table.entries, table.k, kind)
+        except BintabError as exc:
+            assert type(exc) is EvaluationError, exc
+            return
+    assert math.isfinite(value) and scale >= 0.0
 
 
 # any float, and any int of the size the checks of N and k meet
@@ -288,3 +321,160 @@ def test_simulate_decisions(table, N, kind, replications, seed):
         assert list(freqs) == ["positive", "zero", "negative"]
         assert math.isclose(sum(freqs.values()), 1.0)
         assert all(math.isclose(f * replications, round(f * replications)) for f in freqs.values())
+
+
+# the CLI, in-process on generated files: every subcommand exits 0, 2, 3 or 4 with output
+# that parses, never with a traceback or a warning
+CLI = settings(CONTRACT, max_examples=60)
+
+# table files of 0 to 4 variables, entries over the positive floats and infinity
+TABLE_FILES = st.integers(0, 4).flatmap(lambda k: st.fixed_dictionaries(
+    {"k": st.just(k), "entries": st.lists(ENTRIES, min_size=2**k, max_size=2**k)}))
+
+# parameter files of 0 to 3 variables, every mask's value, mask 0 included, any float but NaN
+PARAM_FILES = st.tuples(st.integers(0, 3), st.sampled_from(["di", "lor"])).flatmap(
+    lambda case: st.lists(st.floats(-1.8e308, 1.8e308), min_size=2**case[0],
+                          max_size=2**case[0]).map(lambda values: {
+        "k": case[0], "kind": case[1],
+        **{format(m, f"0{case[0]}b") if case[0] else "": v for m, v in enumerate(values)}}))
+
+KIND_NAMES = st.sampled_from(["lor", "di", "ex", "bahadur"])
+
+# a seed of 0 draws one from entropy, which no derandomized run repeats: -1, refused, for it
+CLI_SEEDS = SEEDS.map(lambda seed: seed or -1)
+
+
+def strict_json(text: str) -> object:
+    """``text`` parsed as JSON, which has no NaN or infinities."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def run_cli(argv: list[str], files: dict) -> tuple[int, str, dict]:
+    """``cli.main(argv)`` in a fresh folder holding ``files``, JSON payloads by name, with
+    warnings as errors: its exit code, its output, and the JSON files it wrote by name.
+
+    Each argument that names a ``.json`` file names it in the folder.
+    """
+    with tempfile.TemporaryDirectory() as folder:
+        for name, payload in files.items():
+            with open(os.path.join(folder, name), "w", encoding="utf-8") as fp:
+                json.dump(payload, fp)
+        argv = [os.path.join(folder, arg) if arg.endswith(".json") else arg for arg in argv]
+        out = io.StringIO()
+        with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"), \
+                contextlib.redirect_stdout(out):
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        written = {}
+        for name in sorted(set(os.listdir(folder)) - set(files)):
+            with open(os.path.join(folder, name), encoding="utf-8") as fp:
+                written[name] = strict_json(fp.read())
+    assert code in (0, 2, 3, 4), code
+    return code, out.getvalue(), written
+
+
+def check_envelope(code: int, out: str, command: str) -> dict:
+    """The report of a run that exits 0 or 4, or the error of one that exits 2 or 3."""
+    payload = strict_json(out)
+    assert payload["tool"] == "bintab"
+    if code in (2, 3):
+        assert set(payload) == {"tool", "version", "error"}
+        assert payload["error"]["type"].endswith("Error")
+        return payload["error"]
+    assert payload["command"] == command
+    return payload["result"]
+
+
+@given(TABLE_FILES, KIND_NAMES, st.booleans(), st.booleans())
+@CLI
+def test_cli_params(table, kind, full, out):
+    argv = ["params", "t.json", "--kind", kind] + ["--full"] * full + ["--out", "p.json"] * out
+    code, text, written = run_cli(argv, {"t.json": table})
+    assert code in (0, 2, 3)
+    result = check_envelope(code, text, "params")
+    if code == 0 and out:
+        assert written == {"p.json": result}
+
+
+@given(PARAM_FILES, st.booleans())
+@CLI
+def test_cli_reconstruct(params, out):
+    argv = ["reconstruct", "p.json"] + ["--out", "t.json"] * out
+    code, text, written = run_cli(argv, {"p.json": params})
+    assert code in (0, 2, 3)
+    result = check_envelope(code, text, "reconstruct")
+    if code == 0:
+        assert result["k"] == params["k"] and all(x > 0 for x in result["entries"])
+        assert written == ({"t.json": result} if out else {})
+
+
+@given(TABLE_FILES, st.lists(KIND_NAMES, min_size=1, max_size=4))
+@CLI
+def test_cli_simpson(table, kinds):
+    code, text, _ = run_cli(["simpson", "t.json", "--kind", ",".join(kinds)], {"t.json": table})
+    assert code in (0, 2, 3)
+    result = check_envelope(code, text, "simpson")
+    if code == 0:
+        assert result["any_paradox"] == any(r["paradox"] for r in result["reports"])
+
+
+@given(KIND_NAMES, st.integers(0, 6), st.integers(-1, 30), CLI_SEEDS, st.booleans())
+@CLI
+def test_cli_search(kind, k, trials, seed, out):
+    argv = ["search", "--kind", kind, "--k", str(k), "--trials", str(trials),
+            "--seed", str(seed)] + ["--out", "w.json"] * out
+    code, text, written = run_cli(argv, {})
+    result = check_envelope(code, text, "search")
+    if code == 0:
+        assert result["reports"] and all(r["paradox"] for r in result["reports"])
+        assert written == ({"w.json": result["witness"]} if out else {})
+    if code == 4:
+        assert result == {"witness": None, "trials": trials} and not written
+
+
+@given(TABLE_FILES, st.booleans())
+@CLI
+def test_cli_canonical(table, out):
+    code, text, written = run_cli(["canonical", "t.json"] + ["--out", "c.json"] * out,
+                                  {"t.json": table})
+    assert code in (0, 2, 3)
+    result = check_envelope(code, text, "canonical")
+    if code == 0:
+        assert written == ({"c.json": result["final"]} if out else {})
+
+
+@given(TABLE_FILES)
+@CLI
+def test_cli_decompose(table):
+    code, text, _ = run_cli(["decompose", "t.json"], {"t.json": table})
+    assert code in (0, 2, 3)
+    check_envelope(code, text, "decompose")
+
+
+# the even-parity mass from --p or --table (a Monte Carlo table of k <= 3), or from neither
+MASS_SOURCES = st.one_of(
+    st.one_of(OPEN_UNIT, st.floats()).map(lambda p: (p, None)),
+    TABLE_FILES.filter(lambda table: table["k"] <= 3).map(lambda table: (None, table)),
+    st.just((None, None)))
+
+
+@given(st.integers(-1, 10**6), MASS_SOURCES, st.integers(0, 20), CLI_SEEDS,
+       st.sampled_from(["json", "csv"]))
+@CLI
+def test_cli_power(N, source, mc, seed, output_format):
+    p, table = source
+    argv = [f"--N={N}", f"--mc={mc}", f"--seed={seed}", "--format", output_format]
+    argv += [] if p is None else [f"--p={p!r}"]
+    argv += [] if table is None else ["--table", "t.json"]
+    code, text, _ = run_cli(["power"] + argv, {} if table is None else {"t.json": table})
+    assert code in (0, 2, 3)
+    if code == 0 and output_format == "csv":
+        header, row = csv.reader(text.splitlines())
+        assert header == ["N", "p", "exact", "normal", "empirical"]
+        assert 0.0 <= float(row[2]) <= 1.0 and (row[4] == "") == (mc == 0)
+    else:
+        result = check_envelope(code, text, "power")
+        if code == 0:
+            assert 0.0 <= result["exact"] <= 1.0 and 0.0 <= result["normal"] <= 1.0

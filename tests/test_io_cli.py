@@ -334,6 +334,14 @@ class TestCliReconstruct:
         err = json.loads(out)["error"]
         assert err["type"] == "InvalidTableError" and "'k'" in err["message"]
 
+    def test_log_product_past_ldexp_powers_exits_numeric(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"k": 0, "kind": "lor", "": -1e300}')
+        code, out = run_cli(capsys, "reconstruct", str(path))
+        assert code == 3
+        err = json.loads(out)["error"]
+        assert err["type"] == "EvaluationError" and "float range" in err["message"]
+
     def test_convergence_failure_exits_numeric_with_residual(self, capsys, table_file, tmp_path):
         params_path = tmp_path / "p.json"
         run_cli(capsys, "params", table_file, "--kind", "lor", "--full",

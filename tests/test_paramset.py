@@ -311,6 +311,14 @@ class TestLorParams:
         with pytest.raises(EvaluationError, match="float range"):
             lor_inverse(ParamSet(1, "lor", np.array([3000.0, 0.0])))
 
+    @pytest.mark.parametrize("k, values", [
+        (0, [1e19]), (0, [-1e300]), (0, [1.7e308]), (1, [1e19, -700.0]),
+    ], ids=["past-c-long", "negative", "past-float-power", "past-int32"])
+    def test_log_product_past_ldexp_powers(self, k, values):
+        # the factor's power of two would pass ldexp's integer, or floor(inf) be taken
+        with pytest.raises(EvaluationError, match="LOR fit leaves the float range"):
+            lor_inverse(ParamSet(k, "lor", values))
+
     def test_convergence_error_carries_residual(self):
         t = random_table(3, np.random.default_rng(7))
         with pytest.raises(ConvergenceError) as err:
