@@ -181,7 +181,7 @@ def _lor_lattice(p: np.ndarray) -> np.ndarray:
 
 #: Largest k of the ``(3,)*k`` marginal lattice, that is of LOR's
 #: :func:`full_params` and of :func:`lor_inverse`: their ``tracemalloc`` peaks
-#: are 26 and 50 MiB at k = 13 and grow x3 per k.
+#: are 26 and 38 MiB at k = 13 and grow x3 per k.
 MAX_LATTICE_K = 16
 
 
@@ -289,34 +289,28 @@ def lor_inverse(params: ParamSet, tol: float = 1e-8, max_iter: int = 10_000) -> 
     return BinaryTable(k, p)
 
 
-def _mask_tables(k: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Per dimension d = 1..k: the d-masks ascending, their submasks, their lattice cells.
+def _mask_tables(k: int) -> tuple[np.ndarray, ...]:
+    """Per dimension d = 1..k: the submasks of the d-masks, one row per mask, ascending.
 
-    Row i of ``subs`` lists the submasks of ``masks[i]`` by the local index j
-    of that mask's marginal table (bit 0 of j is the mask's last variable),
-    so the Walsh transform of the marginal at j is the DI value at
-    ``subs[i, j]``; row i of ``cells`` holds the flat indices of the
-    marginal's cells in :func:`_marginal_lattice` (mask bit b has stride
-    ``3^b`` there, digit 2 is the collapsed axis).  Read-only, as the tables
-    of the small dimensions are memoized (:data:`_memo_mask_tables`).
+    Row i lists the submasks of mask ``subs[i, -1]`` by the local index j of
+    that mask's marginal table (bit 0 of j is the mask's last variable), so
+    the Walsh transform of the marginal at j is the DI value at
+    ``subs[i, j]``.  Read-only, as the tables of the small dimensions are
+    memoized (:data:`_memo_mask_tables`).
     """
     tables = []
     for d in range(1, k + 1):
         bits = np.array(list(itertools.combinations(range(k), d)), dtype=np.intp)
         subs = np.zeros((len(bits), 1), dtype=np.intp)
-        cells = 3**k - 1 - 2 * (3**bits).sum(axis=1, keepdims=True)
         for b in bits.T:
             subs = np.concatenate((subs, subs + (1 << b)[:, None]), axis=1)
-            cells = np.concatenate((cells, cells + (3**b)[:, None]), axis=1)
-        order = np.argsort(subs[:, -1])
-        table = (subs[order, -1], subs[order], cells[order])
-        for a in table:
-            a.flags.writeable = False
-        tables.append(table)
+        subs = subs[np.argsort(subs[:, -1])]
+        subs.flags.writeable = False
+        tables.append(subs)
     return tuple(tables)
 
 
-#: Largest k whose index tables (3^k entries each) stay memoized.
+#: Largest k whose submask tables (3^k entries in all) stay memoized.
 _MEMO_K = 8
 
 _memo_mask_tables = functools.lru_cache(maxsize=_MEMO_K + 1)(_mask_tables)
@@ -360,8 +354,8 @@ def _sweep(target: np.ndarray, tables, tol: float, max_iter: int) -> np.ndarray:
     v = np.zeros(target.size)
     v[0] = 1.0
     marginals = v
-    for masks, subs, _ in tables:
-        size = subs.shape[1]
+    for subs in tables:
+        masks, size = subs[:, -1], subs.shape[1]
         even = parity_signs(size.bit_length() - 1) > 0
         known = v[subs]
         known[:, -1] = 0.0
@@ -436,15 +430,19 @@ def _newton_pass(p: np.ndarray, r: np.ndarray, tables) -> np.ndarray:
     The LOR of mask m depends on the DI values of m's submasks only, so the
     linear system is triangular and solves by the sweep of :func:`_sweep`:
     row m is ``fwht(s / q_m) / 2^d`` with the marginal ``q_m`` read from the
-    lattice, here scaled by ``min(q_m)`` so that no tiny cell overflows it.
-    The correction maps back by :func:`fwht` and is applied as
-    ``p * exp(dp / p)``, which keeps every cell positive and its relative
-    precision.
+    lattice: its cell at submask t has digit 2 (collapsed) off m and, on m,
+    digit 1 at the bits of t, so its index is ``3^k - 1 - 2 digits[m] +
+    digits[t]``, where ``digits[m]`` sums ``3^b`` over the bits b of m.  Each
+    row is scaled by ``min(q_m)`` so that no tiny cell overflows it.  The
+    correction maps back by :func:`fwht` and is applied as ``p * exp(dp / p)``,
+    which keeps every cell positive and its relative precision.
     """
-    lattice, dv = _marginal_lattice(p), np.zeros(p.size)
-    for masks, subs, cells in tables:
-        size = subs.shape[1]
-        q = lattice[cells]
+    lattice, dv, digits = _marginal_lattice(p), np.zeros(p.size), np.zeros(1, dtype=np.intp)
+    for b in range(p.size.bit_length() - 1):
+        digits = np.concatenate((digits, digits + 3**b))
+    for subs in tables:
+        masks, size = subs[:, -1], subs.shape[1]
+        q = lattice[(lattice.size - 1 - 2 * digits[masks])[:, None] + digits[subs]]
         floor = q.min(axis=1)
         rows = _butterfly(parity_signs(size.bit_length() - 1) * (floor[:, None] / q))
         lower = (rows[:, :-1] * dv[subs[:, :-1]]).sum(axis=1)

@@ -24,12 +24,14 @@ from bintab import (
     collapse_check,
     evaluate,
     paradox_search,
+    parity_signs,
     property_battery,
     cell_to_index,
     random_table,
     rescale_conditional_pair,
     simpson_scan,
     simulate_decisions,
+    swap_category,
 )
 from bintab import collapsibility
 from bintab.collapsibility import (
@@ -409,6 +411,32 @@ class TestBlockedLoopsMatchScalarOracle:
             with pytest.raises(EvaluationError, match="small entry 0.5$"):
                 scan()
 
+    def test_battery_raises_a_swap_stage_error_by_replaying_that_swap(self):
+        # an aggregate log that fails on one float: the even-class total of a
+        # trial's variable-2 swap, which no other total the oracle forms up to
+        # that trial equals, so swap 1 flips and swap 2 is the first stage to err
+        even = parity_signs(3) > 0
+        for trial in range(64):
+            table = random_table(3, np.random.default_rng((0, trial)))
+            total = float(swap_category(table, 2).entries[even].sum())
+            seen = []
+            scalar_battery(AggregateContrastKind("log", lambda x: seen.append(x) or math.log(x)),
+                           3, trial + 1, 0)
+            if seen.count(total) == 1:
+                break
+        else:
+            pytest.fail("no trial reaches a variable-2 swap with a total of its own")
+
+        def log_except_total(x):
+            if x == total:
+                raise ValueError(f"swap total {x!r}")
+            return math.log(x)
+
+        kind = AggregateContrastKind("log", log_except_total)
+        got = outcome(lambda: property_battery(kind, 3, trial + 1, 0))
+        assert got == outcome(lambda: scalar_battery(kind, 3, trial + 1, 0))
+        assert got == f"EvaluationError: d failed on a parity-class total: swap total {total!r}"
+
     @pytest.mark.parametrize("trials", [0, 1, 7, 8, 9, 23, 24, 25])
     def test_search_stops_at_its_budget(self, trials):
         # blocks of 8, 16, 32, ... trials, cut at the budget
@@ -548,8 +576,8 @@ class TestErrorsAreFreed:
                                    ContrastKind("floor", lambda x: math.log(x - 0.05)), 20, 1),
     ], ids=["search-raises", "battery-raises", "battery-keeps-errors", "monte-carlo-raises"])
     def test_after_the_call(self, run):
-        # an error's traceback holds frames, and frames hold the error columns, whose
-        # references the cycle collector cannot see: a kept error would never be freed
+        # an error's traceback holds the frames of the loop that raised it, and
+        # a failed row is marked, not kept: no error may outlive the call
         before = _live_errors()
         with contextlib.suppress(BintabError):
             run()
@@ -618,7 +646,7 @@ class TestMeasureCalls:
     def test_runs_of_two_stacks_match_the_scalar_oracle(self, calls, name):
         # at k=8 a block of 8 trials has 3072-cell stacks, two to a run; the
         # fragile kind errs on several variables of each trial, so the runs'
-        # errors meet in one dict, keyed by their rows in the block
+        # failed columns are joined in block order before a failed row is replayed
         kind = ORACLE_KINDS[name]
         for seed in (0, 1, 2):
             calls.clear()

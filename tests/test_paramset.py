@@ -28,6 +28,7 @@ from bintab import (
     paramset_to_dict,
     random_table,
 )
+from bintab import paramset
 from oracles import naive_full_params, sign_matrix
 
 
@@ -212,7 +213,7 @@ class TestLorParams:
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_lattice_k_is_bounded_before_any_allocation(self):
-        # the (3,)^k lattice grows x3 per k: 28 and 53 MiB peaks at k = 13
+        # the (3,)^k lattice grows x3 per k: 26 and 38 MiB peaks at k = 13
         table = BinaryTable.constant(17, 1.0)
         params = ParamSet(17, "lor", np.zeros(2**17))
         message = r"^k must be an integer in \[0, 16\], got 17$"
@@ -350,6 +351,9 @@ class TestLorParams:
 #: SHA-256 of the fitted entries of TestLorFitCorpus's e^±8 targets, k = 2..8
 FITTED_BITS = "6d48828b41d86e20cb26aff5bf2e0e934777d14dc4b876907762b1e3dff52fcd"
 
+#: SHA-256 of the fitted entries of TestLorFitCorpus's targets that take Newton passes
+NEWTON_PASS_BITS = "22135dc20fe13ecbeb0a2537616a5592f50107a556dc270124f7f465547256a8"
+
 
 @pytest.mark.bits
 class TestLorFitCorpus:
@@ -407,8 +411,23 @@ class TestLorFitCorpus:
             digest.update(self._fit(k, 8, 0)[1].entries.tobytes())
         assert digest.hexdigest() == FITTED_BITS
 
+    def test_newton_pass_bits_are_pinned(self, monkeypatch):
+        # the e^±8 targets above stop at the sweep; these take 27 passes in all,
+        # on the memoized submask tables of k <= 8 and on those built at k = 9 and 12
+        passes = []
+        newton_pass = paramset._newton_pass
+        monkeypatch.setattr(paramset, "_newton_pass", lambda *a: passes.append(1) or newton_pass(*a))
+        digest = hashlib.sha256()
+        for k, spread in ((4, 14), (6, 10), (8, 10)):
+            for i in range(8):
+                digest.update(self._fit(k, spread, i, tol=1e-12)[1].entries.tobytes())
+        for k, spread in ((9, 10), (12, 12)):
+            digest.update(self._fit(k, spread, 0)[1].entries.tobytes())
+        assert len(passes) == 27
+        assert digest.hexdigest() == NEWTON_PASS_BITS
+
     def test_k12_fit_memory_is_order_3_to_the_k(self):
-        # 3^12 lattice cells and the per-dimension index tables: about 23 MB;
+        # 3^12 lattice cells and one submask table per dimension: about 13 MiB;
         # one 2^k sign row per mask, as a per-mask solve would hold, is 224 MB
         tracemalloc.start()
         try:
@@ -416,7 +435,7 @@ class TestLorFitCorpus:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 15 * 2**20
         assert np.max(np.abs(full_params(fitted, "lor").values - target.values)) < 1e-8
 
     @pytest.mark.parametrize("spread", (15, 20, 30))
