@@ -5,11 +5,11 @@ for the 2^k parameterization, ``simpson`` / ``search`` for collapsibility
 analysis, ``canonical`` / ``decompose`` for the constructive procedures,
 and ``power`` for sampling-decision probabilities.
 
-Every successful run prints a JSON report wrapping the result with the
-tool version and, under ``config``, only the settings the subcommand read
-(including the actual seed when ``--seed`` was 0 or omitted and one was
-drawn from entropy).  ``--out`` additionally writes the bare artifact
-(table or parameter file) so it can be fed back in.
+Every successful run prints a one-line JSON report wrapping the result
+with the tool version and, under ``config``, only the settings the
+subcommand read (including the actual seed when ``--seed`` was 0 or
+omitted and one was drawn from entropy).  ``--out`` additionally writes
+the bare artifact (table or parameter file) so it can be fed back in.
 
 Exit codes: 0 success, 2 invalid input, 3 numeric/convergence failure,
 4 search exhausted without a witness.
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -53,12 +52,8 @@ EXIT_NUMERIC = 3
 EXIT_NOT_FOUND = 4
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
-
-
 def _report(command: str, config: dict, result: object) -> None:
-    _emit(io.report_envelope(command, config, result))
+    io._dump_json(io.report_envelope(command, config, result), sys.stdout)
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -234,7 +229,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (BintabError, OSError) as exc:
         detail = {"type": type(exc).__name__, "message": str(exc), **io.to_jsonable(vars(exc))}
-        _emit({"tool": "bintab", "version": __version__, "error": detail})
+        io._dump_json({"tool": "bintab", "version": __version__, "error": detail}, sys.stdout)
         numeric = (NonRealizableParamsError, ConvergenceError, EvaluationError)
         return EXIT_NUMERIC if isinstance(exc, numeric) else EXIT_INPUT
 

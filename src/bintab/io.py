@@ -10,7 +10,8 @@ Parameter file:  {"k": 2, "kind": "di", "00": 14.0, "01": -2.0, ...}
                  one key per mask: the k-digit bitstring of the mask
                  integer, variable 1 first ("" for the single mask of k=0).
 
-Every result reaches JSON through the one converter :func:`to_jsonable`.
+Every result reaches JSON through the one converter :func:`to_jsonable`, and
+every file and CLI envelope is written by :func:`_dump_json`, one line each.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def _load_json(source: Union[Pathish, TextIO]) -> object:
 
 
 def _dump_json(payload: object, dest: Union[Pathish, TextIO]) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload) + "\n"  # an indent would force json's pure-Python encoder
     if hasattr(dest, "write"):
         dest.write(text)
         return
@@ -59,7 +60,7 @@ def _is_number(x: object) -> bool:
 
 
 def table_to_dict(table: BinaryTable, labels: Optional[list[str]] = None) -> dict:
-    payload: dict = {"k": table.k, "entries": [float(x) for x in table.entries]}
+    payload: dict = {"k": table.k, "entries": table.entries.tolist()}
     if labels is not None:
         payload["labels"] = list(labels)
     return payload
@@ -105,8 +106,8 @@ def _mask_key(m: int, k: int) -> str:
 def paramset_to_dict(params: ParamSet) -> dict:
     """Parameter file payload: k, kind, then one value per mask in ascending order."""
     payload: dict = {"k": params.k, "kind": params.kind}
-    for m, value in enumerate(params.values):
-        payload[_mask_key(m, params.k)] = float(value)
+    for m, value in enumerate(params.values.tolist()):
+        payload[_mask_key(m, params.k)] = value
     return payload
 
 

@@ -306,3 +306,32 @@ def test_10_dichotomy_over_every_stratification():
     note(10, f"DI and log-totals never reverse over {sets} stratifications; with |S| >= 2 "
              f"LOR/EX/Bahadur reverse {reversals['lor']}/{reversals['ex']}/"
              f"{reversals['bahadur']} times ({elapsed:.1f}s)")
+
+
+def test_12_simpson_rate_of_uniform_2x2x2_tables():
+    # Pavlides & Perlman (2009, The American Statistician 63(3):226-233): for a
+    # 2x2x2 table drawn uniformly from the probability simplex, the odds ratio
+    # reverses over a given stratifier with probability 1/60.  An external
+    # number, so it checks the reversal rule itself, not only its two paths.
+    start = time.perf_counter()
+    n, rate = 200_000, 1 / 60
+    rows = np.random.default_rng((2009, 12)).dirichlet(np.ones(8), size=n)
+    arr = rows.reshape((n,) + (2,) * 3)
+    band = 4 * math.sqrt(rate * (1 - rate) / n)
+    flags = {}
+    for variable in (1, 2, 3):
+        flags[variable], failed = _reversals(arr, 3, LOR, (variable,))
+        assert not failed.any()
+        assert abs(flags[variable].mean() - rate) < band, (variable, flags[variable].mean())
+    reversed_rows, failed = _reversals(arr, 3, DI, (1,), (2,), (3,))
+    assert not failed.any() and not reversed_rows.any()
+
+    # the batched rule flags what the public one does, table by table
+    for variable in (1, 2, 3):
+        public = [collapse_check(BinaryTable(3, row), LOR, variable).paradox
+                  for row in rows[:1000]]
+        assert public == flags[variable][:1000].tolist() and any(public)
+    elapsed = time.perf_counter() - start
+    rates = "/".join(f"{flags[v].mean():.5f}" for v in (1, 2, 3))
+    note(12, f"LOR reverses over variables 1/2/3 of {n} Dirichlet(1^8) tables at rates {rates} "
+             f"(1/60 = {rate:.5f}, band {band:.5f}); DI never ({elapsed:.2f}s)")

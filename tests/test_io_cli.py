@@ -21,6 +21,7 @@ from bintab import (
     report_envelope,
     save_paramset,
     save_table,
+    table_to_dict,
     to_jsonable,
 )
 from bintab import DI, LOR, ParamSet
@@ -118,6 +119,8 @@ class TestParamFiles:
         save_paramset(ps, path)
         payload = json.loads(path.read_text())
         assert payload == {"k": 2, "kind": "di", "00": 14.0, "01": -2.0, "10": -4.0, "11": 0.0}
+        want = '{"k": 2, "kind": "di", "00": 14.0, "01": -2.0, "10": -4.0, "11": 0.0}\n'
+        assert path.read_text() == want  # README's line
 
     def test_load_unwraps_report_envelope(self, capsys, table_file, tmp_path):
         assert main(["params", table_file, "--kind", "lor", "--full"]) == 0
@@ -597,6 +600,41 @@ class TestCliConfig:
         with pytest.raises(SystemExit) as exc:
             main(["power", "--N", "100", "--p", "0.5", "--format", "xml"])
         assert exc.value.code == 2
+
+
+class TestOneLineLayout:
+    """Every envelope and file is one line of JSON with the default separators."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["params", "{table}", "--kind", "lor", "--full"], 0),
+        (["reconstruct", "{lor}"], 0),
+        (["simpson", "{table}"], 0),
+        (["search", "--kind", "lor", "--k", "3", "--trials", "100", "--seed", "1"], 0),
+        (["canonical", "{table}"], 0),
+        (["decompose", "{table}"], 0),
+        (["power", "--N", "100", "--p", "0.5", "--mc", "50", "--seed", "3"], 0),
+        (["params", "{table}", "--out", "{di}"], 2),
+    ], ids=["params", "reconstruct", "simpson", "search", "canonical", "decompose", "power",
+            "error"])
+    def test_envelope_is_one_compact_line(self, capsys, table_file, param_files, argv, code):
+        argv = [a.format(table=table_file, **param_files) for a in argv]
+        got, out = run_cli(capsys, *argv)
+        assert got == code
+        assert out.count("\n") == 1
+        assert out == json.dumps(json.loads(out)) + "\n"
+
+    def test_table_file_is_readme_line(self, table_file):
+        with open(table_file, encoding="utf-8") as fp:
+            assert fp.read() == '{"k": 2, "entries": [2.0, 3.0, 4.0, 5.0]}\n'
+
+    def test_payload_values_are_python_floats(self):
+        t = BinaryTable.from_entries([0.1, 2.0, 1 / 3, 7.5, 1e-300, 4.0, 5.0, 1e300])
+        values = table_to_dict(t)["entries"]
+        for kind in (DI, LOR):
+            payload = paramset_to_dict(full_params(t, kind))
+            values += [v for key, v in payload.items() if key not in ("k", "kind")]
+        assert len(values) == 3 * 8
+        assert all(type(v) is float for v in values)
 
 
 def test_version_flag(capsys):
